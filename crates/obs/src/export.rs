@@ -78,7 +78,7 @@ pub fn chrome_trace(spans: &[Span]) -> String {
 /// Renders the complete [`EventCounters`](dircc_core::EventCounters)
 /// state as one JSON object — every getter, the invalidation histogram
 /// and the FNV-1a digest (hex, the same rendering `dircc bench` rows
-/// use). The digest is shard- and engine-invariant, so two responses
+/// use). The digest is shard- and adapter-invariant, so two responses
 /// describing the same run are bit-identical however they were
 /// computed; the serve daemon's `/run` responses and `dircc replay
 /// --json` both embed this object, which is what lets CI diff them.

@@ -17,42 +17,67 @@
 //!   an invalidation protocol, and data must never be supplied from stale
 //!   memory.
 //!
+//! # One core, five adapters
+//!
+//! Every replay runs through one core, generic over the protocol type. It
+//! consumes structure-of-arrays batches — flat `kind` / `cache_idx` /
+//! `block_id` / `first_ref` arrays, i.e. a [`SoaStream`] or a slice of
+//! one — and carries its state (counters, verifier, finite tag stores,
+//! reference count) from batch to batch. It has exactly two loop bodies:
+//!
+//! * the **quiet** loop, taken when every cold path is provably dead (no
+//!   verifier, infinite caches, no invariant cadence, a no-op
+//!   [`Recorder`], and the batch's `max_cache_idx` below the cache
+//!   count): one `access` and one counter update per reference;
+//! * the **instrumented** loop otherwise: bounds check, verifier,
+//!   finite-cache tag stores, invariant cadence and the per-reference
+//!   recorder hook.
+//!
+//! The inputs reach it through thin adapters:
+//!
+//! | entry point     | input                                        | protocol             |
+//! |-----------------|----------------------------------------------|----------------------|
+//! | [`run_soa`]     | a memoized [`SoaStream`] (one batch)         | concrete, per kind   |
+//! | [`run_sharded`] | a [`ShardedSoa`] partition, scoped threads   | concrete, per shard  |
+//! | [`run_chunked`] | any [`ChunkSource`], interned chunk by chunk | concrete, per kind   |
+//! | [`run_spilled`] | spill files from [`spill_sharded`]           | concrete, per shard  |
+//! | [`run`]         | any record iterator, interned in batches     | the caller's `P`     |
+//!
+//! The kind-based adapters resolve the [`ProtocolKind`] once via
+//! [`dircc_core::dispatch`], so the core is monomorphized per scheme and
+//! `access` is statically dispatched; [`run`] takes the caller's
+//! instance, typically a `Box<dyn Protocol>`, and instantiates the same
+//! core with `P = dyn Protocol`.
+//!
 //! # Dense block ids
 //!
-//! The engine *interns* blocks: each distinct block is renamed to a dense
-//! index in first-appearance order before it reaches the protocol, so every
+//! Blocks are *interned*: each distinct block is renamed to a dense index
+//! in first-appearance order before it reaches the protocol, so every
 //! per-block table downstream (tag arrays, directory entries, verifier
-//! state) is a flat vector instead of a hash map. [`run`] interns on the
-//! fly — one hash probe per reference, doubling as the first-reference
-//! check — while [`run_indexed`] replays a prebuilt dense-id stream (from
-//! [`dircc_trace::TraceStore::dense_blocks`]) with *zero* hashing in the
-//! loop. Renaming is a bijection and protocols only compare blocks for
-//! identity, so both paths produce bit-identical counters; finite tag
-//! stores still hash on the **original** address because set selection
-//! uses raw address bits.
-//!
-//! # Observability
-//!
-//! Both entry points have `_with` variants ([`run_with`],
-//! [`run_indexed_with`]) that take a [`Recorder`] — a statically
-//! dispatched per-reference hook called after every counter mutation.
-//! The plain entry points pass [`NoopRecorder`], whose empty inline
-//! methods monomorphize away, so the hot loop is byte- and
-//! speed-identical with observability off (the `benchcmp` CI gate pins
-//! the counters against the checked-in baseline).
+//! state) is a flat vector. Renaming is a bijection and protocols only
+//! compare blocks for identity, so counters do not depend on where the
+//! ids came from. Finite tag stores still key on the **original** address
+//! (set selection uses raw address bits); the core reads it from the
+//! record on that cold path — for shard batches by global reference
+//! number. The naive reference replay in this crate's `tests/oracle`
+//! (one `access` per record, a hash map of first references, a plain
+//! per-set LRU list) pins all of this against the checked-in digests.
 
 use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
-use dircc_core::{split_shards, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind};
+use dircc_core::{
+    dispatch, dispatch_sized, CoherenceStyle, Event, EventCounters, Outcome, Protocol,
+    ProtocolKind, ProtocolVisitor,
+};
 use dircc_obs::{NoopRecorder, Recorder};
 use dircc_trace::spill::spill_shards;
 use dircc_trace::{
-    BlockInterner, ChunkSource, Shard, ShardedStream, SpilledShard, SpilledShards, TraceRecord,
+    BlockInterner, ChunkSource, Shard, ShardedSoa, SoaStream, SpilledShard, SpilledShards,
+    TraceRecord,
 };
 use dircc_types::{AccessKind, BlockAddr, BlockGeometry, CacheId};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use dircc_types::SharingModel;
@@ -124,43 +149,44 @@ pub struct RunResult {
 /// Cap on retained verifier violation messages.
 pub const MAX_VIOLATIONS: usize = 16;
 
-/// Internal run result before violation formatting: each finding keeps
-/// its 1-based global reference number so sharded runs can merge findings
+/// References the streaming adapters ([`run`], [`run_chunked`],
+/// [`run_spilled`]) intern per batch. One batch's arrays (4 × 8 bytes per
+/// ref at most) stay comfortably inside L1 alongside the protocol's
+/// working set.
+const BATCH: usize = 4096;
+
+/// Core result before violation formatting: each finding keeps its
+/// 1-based global reference number so sharded runs can merge findings
 /// back into trace order before applying the [`MAX_VIOLATIONS`] cap.
-pub(crate) struct CoreResult {
-    pub(crate) counters: EventCounters,
-    pub(crate) refs: u64,
-    pub(crate) violations: Vec<(u64, String)>,
+struct CoreResult {
+    counters: EventCounters,
+    refs: u64,
+    violations: Vec<(u64, String)>,
 }
 
-/// Internal engine error: the 1-based global reference number it occurred
-/// at (`u64::MAX` for the end-of-run invariant check), for deterministic
-/// first-error selection across shards.
-pub(crate) struct EngineError {
-    pub(crate) gref: u64,
-    pub(crate) msg: String,
+/// Core error: the 1-based global reference number it occurred at
+/// (`u64::MAX` for the end-of-run invariant check, 0 for a spill-file
+/// read failure), for deterministic first-error selection across shards.
+struct EngineError {
+    gref: u64,
+    msg: String,
 }
 
-fn format_violation((gref, msg): (u64, String)) -> String {
-    format!("ref {gref}: {msg}")
-}
-
-pub(crate) fn finish_result(raw: CoreResult) -> RunResult {
+fn finish_result(raw: CoreResult) -> RunResult {
     RunResult {
         counters: raw.counters,
         refs: raw.refs,
-        violations: raw.violations.into_iter().map(format_violation).collect(),
+        violations: raw.violations.into_iter().map(|(g, msg)| format!("ref {g}: {msg}")).collect(),
     }
 }
 
 /// Value-level coherence verifier state.
 ///
-/// The engine hands the verifier *dense* block addresses, so all three
+/// The core hands the verifier *dense* block addresses, so all three
 /// tables are flat vectors indexed by block. Absent entries read as
-/// version 0 (the block's initial state), exactly as the former hash-map
-/// representation defaulted.
+/// version 0 (the block's initial state).
 #[derive(Debug)]
-pub(crate) struct Verifier {
+struct Verifier {
     /// Monotonic version per block, bumped on every write.
     version: Vec<u64>,
     /// Version each cached copy holds, one table per cache.
@@ -182,7 +208,7 @@ fn table_set(table: &mut Vec<u64>, b: BlockAddr, ver: u64) {
 }
 
 impl Verifier {
-    pub(crate) fn new(n_caches: usize, blocks: usize) -> Self {
+    fn new(n_caches: usize, blocks: usize) -> Self {
         Verifier {
             version: Vec::with_capacity(blocks),
             copy: vec![Vec::with_capacity(blocks); n_caches],
@@ -190,292 +216,505 @@ impl Verifier {
         }
     }
 
-    fn mem_version(&self, b: BlockAddr) -> u64 {
-        table_get(&self.memory, b)
+    /// Checks one access's outcome against the version tables and
+    /// advances them. `shown` is the block label messages print.
+    #[allow(clippy::too_many_arguments)]
+    fn check<P: Protocol + ?Sized>(
+        &mut self,
+        protocol: &P,
+        cache: CacheId,
+        kind: AccessKind,
+        block: BlockAddr,
+        shown: BlockAddr,
+        out: &Outcome,
+        violations: &mut Vec<(u64, String)>,
+        gref: u64,
+    ) {
+        let mut report = |msg: String| {
+            if violations.len() < MAX_VIOLATIONS {
+                violations.push((gref, msg));
+            }
+        };
+        let holders = protocol.holders(block);
+        if !holders.contains(cache) {
+            report(format!("{cache} accessed {shown} but is not a holder afterwards"));
+            return;
+        }
+        match kind {
+            AccessKind::Write => {
+                let new_ver = table_get(&self.version, block) + 1;
+                table_set(&mut self.version, block, new_ver);
+                table_set(&mut self.copy[cache.index()], block, new_ver);
+                if out.memory_updated {
+                    table_set(&mut self.memory, block, new_ver);
+                }
+                match protocol.style() {
+                    CoherenceStyle::Update => {
+                        // Updates reach every current holder.
+                        for h in holders.iter() {
+                            table_set(&mut self.copy[h.index()], block, new_ver);
+                        }
+                    }
+                    CoherenceStyle::Invalidate => {
+                        // Single-writer: no other copy may survive a write.
+                        if holders.len() != 1 {
+                            report(format!(
+                                "invalidation protocol left {} copies of {shown} after a write",
+                                holders.len()
+                            ));
+                        }
+                    }
+                }
+            }
+            AccessKind::Read => {
+                let cur = table_get(&self.version, block);
+                match out.event {
+                    Event::ReadHit => {
+                        let held = table_get(&self.copy[cache.index()], block);
+                        if held != cur {
+                            report(format!(
+                                "read hit observed version {held} of {shown}, latest is {cur}"
+                            ));
+                        }
+                    }
+                    Event::ReadMiss(_) => {
+                        // Where did the data come from?
+                        if out.memory_updated {
+                            table_set(&mut self.memory, block, cur);
+                        }
+                        let supplied = if out.cache_supplied || out.write_back {
+                            cur
+                        } else {
+                            table_get(&self.memory, block)
+                        };
+                        if supplied != cur {
+                            report(format!(
+                                "miss on {shown} supplied version {supplied}, latest is {cur}"
+                            ));
+                        }
+                        table_set(&mut self.copy[cache.index()], block, supplied);
+                    }
+                    other => report(format!("read classified as {other}")),
+                }
+            }
+            AccessKind::InstrFetch => unreachable!("filtered before the protocol"),
+        }
     }
 
-    fn cur_version(&self, b: BlockAddr) -> u64 {
-        table_get(&self.version, b)
+    /// An evicted copy was written back: memory now holds its version
+    /// (the latest data, in every protocol that answers WRITE_BACK).
+    fn write_back(&mut self, cache: CacheId, block: BlockAddr) {
+        let ver = table_get(&self.copy[cache.index()], block);
+        table_set(&mut self.memory, block, ver);
+    }
+}
+
+/// Where a batch's original records live. Only the cold paths read them:
+/// finite-cache set selection and the bounds-error text.
+#[derive(Clone, Copy)]
+enum Origin<'a> {
+    /// `records[j]` is the batch's entry `j`.
+    Aligned(&'a [TraceRecord]),
+    /// Entry `j`'s record is `records[gref - 1]`: shard batches reach the
+    /// unsharded stream by global reference number.
+    ByGref(&'a [TraceRecord]),
+}
+
+/// One structure-of-arrays batch, as the core consumes it.
+struct Batch<'a> {
+    soa: &'a SoaStream,
+    /// 1-based global reference numbers aligned with `soa`; `None` when
+    /// the batch continues an unsharded stream, whose reference numbers
+    /// are the core's running count.
+    grefs: Option<&'a [u64]>,
+    origin: Origin<'a>,
+}
+
+impl Batch<'_> {
+    fn record(&self, j: usize, gref: u64) -> TraceRecord {
+        match self.origin {
+            Origin::Aligned(records) => records[j],
+            Origin::ByGref(records) => records[(gref - 1) as usize],
+        }
+    }
+}
+
+/// The replay core: one protocol instance plus everything a run carries
+/// from batch to batch.
+struct Core<'a, P: Protocol + ?Sized, R: Recorder> {
+    protocol: &'a mut P,
+    cfg: &'a RunConfig,
+    recorder: &'a mut R,
+    /// Shard-local → global dense ids, so shard violation text names
+    /// blocks exactly as the unsharded run does (`None` = identity).
+    global_ids: Option<&'a [u32]>,
+    n: usize,
+    counters: EventCounters,
+    verifier: Option<Verifier>,
+    violations: Vec<(u64, String)>,
+    /// Finite-mode tag stores mirror each cache's resident blocks; LRU
+    /// victims are evicted from the protocol. Tags invalidated by remote
+    /// writes linger until replaced (as in real caches). Keyed on the
+    /// ORIGINAL block address, carrying the dense address as state.
+    tag_stores: Option<Vec<SetAssocCache<BlockAddr>>>,
+    /// References replayed so far in this stream.
+    refs: u64,
+}
+
+impl<'a, P: Protocol + ?Sized, R: Recorder> Core<'a, P, R> {
+    /// `blocks` pre-sizes the verifier's dense tables.
+    fn new(
+        protocol: &'a mut P,
+        cfg: &'a RunConfig,
+        recorder: &'a mut R,
+        blocks: usize,
+        global_ids: Option<&'a [u32]>,
+    ) -> Self {
+        let n = protocol.num_caches();
+        Core {
+            protocol,
+            cfg,
+            recorder,
+            global_ids,
+            n,
+            counters: EventCounters::new(),
+            verifier: cfg.verify.then(|| Verifier::new(n, blocks)),
+            violations: Vec::new(),
+            tag_stores: cfg.finite_cache.map(|fc| (0..n).map(|_| SetAssocCache::new(fc)).collect()),
+            refs: 0,
+        }
     }
 
-    pub(crate) fn copy_version(&self, cache: CacheId, b: BlockAddr) -> u64 {
-        table_get(&self.copy[cache.index()], b)
+    /// Replays one batch through the quiet loop when every cold branch is
+    /// constant-false for it, through the instrumented loop otherwise.
+    fn feed(&mut self, batch: &Batch<'_>) -> Result<(), EngineError> {
+        let quiet = R::IS_NOOP
+            && self.verifier.is_none()
+            && self.tag_stores.is_none()
+            && self.cfg.check_invariants_every == 0
+            && usize::from(batch.soa.max_cache_idx) < self.n;
+        if quiet {
+            quiet_loop(&mut *self.protocol, &mut self.counters, batch.soa);
+            self.refs += batch.soa.len() as u64;
+            Ok(())
+        } else {
+            self.instrumented(batch)
+        }
     }
 
-    fn set_version(&mut self, b: BlockAddr, ver: u64) {
-        table_set(&mut self.version, b, ver);
+    /// Every reference with every hook: same counters as the quiet loop,
+    /// plus bounds errors, verifier findings, finite-cache evictions, the
+    /// invariant cadence and one recorder call per reference — after every
+    /// counter mutation that reference caused (eviction traffic included),
+    /// so windowed deltas partition the run exactly.
+    fn instrumented(&mut self, batch: &Batch<'_>) -> Result<(), EngineError> {
+        let soa = batch.soa;
+        let n = self.n;
+        let every = self.cfg.check_invariants_every;
+        for j in 0..soa.len() {
+            self.refs += 1;
+            let refs = self.refs;
+            let kind = soa.kind[j];
+            if kind == AccessKind::InstrFetch {
+                self.counters.observe(&Outcome::quiet(Event::Instr));
+                self.recorder.record(refs, &self.counters);
+                continue;
+            }
+            let gref = batch.grefs.map_or(refs, |g| g[j]);
+            let cache_idx = soa.cache_idx[j];
+            if usize::from(cache_idx) >= n {
+                let r = batch.record(j, gref);
+                return Err(EngineError {
+                    gref,
+                    msg: format!(
+                        "reference {gref}: cache index {cache_idx} out of range for {n} caches \
+                         ({}, {}, {:?} at {}; did you size the protocol for the sharing model?)",
+                        r.cpu, r.pid, r.kind, r.addr
+                    ),
+                });
+            }
+            let cache = CacheId::new(cache_idx);
+            let block = BlockAddr::from_index(u64::from(soa.block_id[j]));
+            let out = self.protocol.access(cache, kind, block, soa.first_ref[j]);
+            self.counters.observe(&out);
+
+            if let Some(v) = self.verifier.as_mut() {
+                let shown = match self.global_ids {
+                    None => block,
+                    Some(g) => BlockAddr::from_index(u64::from(g[block.index() as usize])),
+                };
+                v.check(
+                    &*self.protocol,
+                    cache,
+                    kind,
+                    block,
+                    shown,
+                    &out,
+                    &mut self.violations,
+                    gref,
+                );
+            }
+            if let Some(stores) = self.tag_stores.as_mut() {
+                let orig_block = self.cfg.geometry.block_of(batch.record(j, gref).addr);
+                if let Lookup::Inserted { evicted: Some(victim) } =
+                    stores[cache.index()].lookup_or_insert(orig_block, block)
+                {
+                    let evo = self.protocol.evict(cache, victim.state);
+                    self.counters.observe_eviction(&evo);
+                    if evo.write_back {
+                        if let Some(v) = self.verifier.as_mut() {
+                            v.write_back(cache, victim.state);
+                        }
+                    }
+                }
+            }
+            self.recorder.record(refs, &self.counters);
+            if every > 0 && refs.is_multiple_of(every) {
+                self.protocol.check_invariants().map_err(|e| EngineError {
+                    gref,
+                    msg: format!("invariant violation at reference {gref}: {e}"),
+                })?;
+            }
+        }
+        Ok(())
     }
 
-    pub(crate) fn set_memory(&mut self, b: BlockAddr, ver: u64) {
-        table_set(&mut self.memory, b, ver);
+    /// Ends the stream: the final invariant check (when a cadence is set)
+    /// and the recorder's `finish`.
+    fn finish(self) -> Result<CoreResult, EngineError> {
+        if self.cfg.check_invariants_every > 0 {
+            self.protocol.check_invariants().map_err(|e| EngineError {
+                gref: u64::MAX,
+                msg: format!("final invariant violation: {e}"),
+            })?;
+        }
+        self.recorder.finish(self.refs, &self.counters);
+        Ok(CoreResult { counters: self.counters, refs: self.refs, violations: self.violations })
+    }
+}
+
+/// The quiet loop: one statically dispatched (for concrete `P`) `access`
+/// and one counter update per reference, no other branch.
+#[inline]
+fn quiet_loop<P: Protocol + ?Sized>(
+    protocol: &mut P,
+    counters: &mut EventCounters,
+    soa: &SoaStream,
+) {
+    let len = soa.len();
+    let kind = &soa.kind[..len];
+    let cache_idx = &soa.cache_idx[..len];
+    let block_id = &soa.block_id[..len];
+    let first_ref = &soa.first_ref[..len];
+    let mut i = 0usize;
+    while i < len {
+        let end = (i + BATCH).min(len);
+        for j in i..end {
+            let k = kind[j];
+            if k == AccessKind::InstrFetch {
+                counters.observe(&Outcome::quiet(Event::Instr));
+                continue;
+            }
+            let out = protocol.access(
+                CacheId::new(cache_idx[j]),
+                k,
+                BlockAddr::from_index(u64::from(block_id[j])),
+                first_ref[j],
+            );
+            counters.observe(&out);
+        }
+        i = end;
+    }
+}
+
+/// Interns records batch by batch into a reusable [`SoaStream`] buffer —
+/// the adapter behind [`run`] and [`run_chunked`]. Ids are assigned in
+/// first-appearance order, exactly as a whole-stream interner would.
+struct Interning {
+    interner: BlockInterner,
+    buf: SoaStream,
+    sharing: SharingModel,
+}
+
+impl Interning {
+    fn new(cfg: &RunConfig) -> Self {
+        Interning {
+            interner: BlockInterner::new(cfg.geometry),
+            buf: SoaStream::new(cfg.sharing),
+            sharing: cfg.sharing,
+        }
     }
 
-    fn set_copy(&mut self, cache: CacheId, b: BlockAddr, ver: u64) {
-        table_set(&mut self.copy[cache.index()], b, ver);
+    /// Interns `records` into the buffer and returns them as a batch.
+    fn load<'b>(&'b mut self, records: &'b [TraceRecord]) -> Batch<'b> {
+        self.buf.clear();
+        let geometry = self.interner.geometry();
+        for r in records {
+            if r.is_data() {
+                let (id, first) = self.interner.intern(geometry.block_of(r.addr));
+                self.buf.push(r.kind, r.cache_index(self.sharing), id, first);
+            } else {
+                self.buf.push(r.kind, 0, 0, false);
+            }
+        }
+        Batch { soa: &self.buf, grefs: None, origin: Origin::Aligned(records) }
     }
 }
 
 /// Replays `records` through `protocol`, returning counters and any
 /// verifier findings.
 ///
-/// Blocks are interned on the fly: the interning map doubles as the
-/// first-reference set, so the loop pays exactly one hash probe per data
-/// reference and the protocol sees dense block addresses throughout.
+/// Blocks are interned a batch at a time and the batch replays through
+/// the same core as every other entry point, instantiated for the
+/// caller's `P` (`dyn Protocol` for a `Box<dyn Protocol>`).
 ///
 /// # Errors
 ///
-/// Returns an error string if a protocol invariant check fails (the
-/// verifier's value-level findings are reported in
-/// [`RunResult::violations`] instead, so a run can surface several).
+/// Returns an error string if a record names a cache the protocol does not
+/// have or a protocol invariant check fails (the verifier's value-level
+/// findings are reported in [`RunResult::violations`] instead, so a run
+/// can surface several).
 pub fn run<P: Protocol + ?Sized, I: IntoIterator<Item = TraceRecord>>(
     protocol: &mut P,
     records: I,
     cfg: &RunConfig,
 ) -> Result<RunResult, String> {
-    run_with(protocol, records, cfg, &mut NoopRecorder)
-}
-
-/// [`run`] with a [`Recorder`] observing the cumulative counters after
-/// every reference (e.g. a
-/// [`WindowedRecorder`](dircc_obs::WindowedRecorder) sampling
-/// time-resolved deltas). Counters are unaffected by the recorder.
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_with<P, I, R>(
-    protocol: &mut P,
-    records: I,
-    cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String>
-where
-    P: Protocol + ?Sized,
-    I: IntoIterator<Item = TraceRecord>,
-    R: Recorder,
-{
-    let mut interner: HashMap<u64, u32> = HashMap::new();
-    run_core(
-        protocol,
-        records.into_iter().zip(1u64..),
-        cfg,
-        0,
-        move |orig, _| {
-            let next = u32::try_from(interner.len()).expect("more than u32::MAX distinct blocks");
-            let mut first_ref = false;
-            let id = *interner.entry(orig.index()).or_insert_with(|| {
-                first_ref = true;
-                next
-            });
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        |b| b,
-        recorder,
-    )
-    .map(finish_result)
-    .map_err(|e| e.msg)
-}
-
-/// Replays `records` through `protocol` using a prebuilt dense-id stream
-/// (one id per record, aligned with `records`, as produced by
-/// [`dircc_trace::TraceStore::dense_blocks`]). `num_blocks` is the
-/// interner's distinct-block count and sizes the first-reference bit
-/// vector up front.
-///
-/// This is the zero-hashing hot path: the replay loop performs no hash
-/// probe at all for infinite-cache runs. Counters are bit-identical to
-/// [`run`] on the same records — pinned by this crate's equality tests.
-///
-/// # Errors
-///
-/// As [`run`]; additionally errs if `dense` is not aligned with `records`.
-pub fn run_indexed<P: Protocol + ?Sized>(
-    protocol: &mut P,
-    records: &[TraceRecord],
-    dense: &[u32],
-    num_blocks: usize,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    run_indexed_with(protocol, records, dense, num_blocks, cfg, &mut NoopRecorder)
-}
-
-/// [`run_indexed`] with a [`Recorder`] observing the cumulative counters
-/// after every reference. Counters are unaffected by the recorder.
-///
-/// # Errors
-///
-/// As [`run_indexed`].
-pub fn run_indexed_with<P: Protocol + ?Sized, R: Recorder>(
-    protocol: &mut P,
-    records: &[TraceRecord],
-    dense: &[u32],
-    num_blocks: usize,
-    cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String> {
-    if records.len() != dense.len() {
-        return Err(format!(
-            "dense-id stream has {} entries for {} records; rebuild it from the same stream",
-            dense.len(),
-            records.len()
-        ));
-    }
-    let mut seen = vec![0u64; num_blocks.div_ceil(64)];
-    run_core(
-        protocol,
-        records.iter().copied().zip(1u64..),
-        cfg,
-        num_blocks,
-        move |_, idx| {
-            let id = dense[idx];
-            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-            if word >= seen.len() {
-                seen.resize(word + 1, 0);
-            }
-            let first_ref = seen[word] & bit == 0;
-            seen[word] |= bit;
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        |b| b,
-        recorder,
-    )
-    .map(finish_result)
-    .map_err(|e| e.msg)
-}
-
-/// Iterator adapter feeding [`run_core`] from a [`ChunkSource`]: yields
-/// `(record, gref)` pairs one chunk at a time, reusing one buffer so peak
-/// resident trace memory is bounded by the chunk size. An I/O error ends
-/// the stream and is parked in `err` for the caller to surface (the
-/// iterator contract has no error channel).
-struct ChunkRecords<'a, S: ChunkSource> {
-    source: &'a mut S,
-    buf: Vec<TraceRecord>,
-    pos: usize,
-    gref: u64,
-    err: &'a RefCell<Option<io::Error>>,
-}
-
-impl<S: ChunkSource> Iterator for ChunkRecords<'_, S> {
-    type Item = (TraceRecord, u64);
-
-    fn next(&mut self) -> Option<(TraceRecord, u64)> {
-        loop {
-            if self.pos < self.buf.len() {
-                let r = self.buf[self.pos];
-                self.pos += 1;
-                self.gref += 1;
-                return Some((r, self.gref));
-            }
-            self.pos = 0;
-            match self.source.next_chunk(&mut self.buf) {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => {
-                    *self.err.borrow_mut() = Some(e);
-                    return None;
-                }
-            }
+    let mut recorder = NoopRecorder;
+    let mut core = Core::new(protocol, cfg, &mut recorder, 0, None);
+    let mut interning = Interning::new(cfg);
+    let mut records = records.into_iter();
+    let mut buf: Vec<TraceRecord> = Vec::with_capacity(BATCH);
+    let res = loop {
+        buf.clear();
+        buf.extend(records.by_ref().take(BATCH));
+        if buf.is_empty() {
+            break core.finish();
         }
-    }
-}
-
-/// Replays a streamed trace — any [`ChunkSource`], e.g. a
-/// [`ChunkedReader`](dircc_trace::ChunkedReader) over an on-disk v2 file —
-/// through `protocol`, holding at most one chunk of records in memory.
-///
-/// Blocks are interned incrementally as chunks arrive, in the same
-/// first-appearance order the in-memory paths use, so counters are
-/// bit-identical to [`run`]/[`run_indexed`] on the same records (pinned by
-/// this crate's streaming equality tests).
-///
-/// # Errors
-///
-/// As [`run`]; additionally reports I/O and decode errors from the source.
-pub fn run_chunked<P: Protocol + ?Sized, S: ChunkSource>(
-    protocol: &mut P,
-    source: &mut S,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    run_chunked_with(protocol, source, cfg, &mut NoopRecorder)
-}
-
-/// [`run_chunked`] with a [`Recorder`] observing the cumulative counters
-/// after every reference. Counters are unaffected by the recorder.
-///
-/// # Errors
-///
-/// As [`run_chunked`].
-pub fn run_chunked_with<P, S, R>(
-    protocol: &mut P,
-    source: &mut S,
-    cfg: &RunConfig,
-    recorder: &mut R,
-) -> Result<RunResult, String>
-where
-    P: Protocol + ?Sized,
-    S: ChunkSource,
-    R: Recorder,
-{
-    let mut interner = BlockInterner::new(cfg.geometry);
-    let io_err: RefCell<Option<io::Error>> = RefCell::new(None);
-    let records = ChunkRecords { source, buf: Vec::new(), pos: 0, gref: 0, err: &io_err };
-    let res = run_core(
-        protocol,
-        records,
-        cfg,
-        0,
-        |orig, _| {
-            let (id, first_ref) = interner.intern(orig);
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        |b| b,
-        recorder,
-    );
-    // An I/O error truncates the stream; the engine would otherwise treat
-    // it as a clean end of trace, so check the side channel first.
-    if let Some(e) = io_err.into_inner() {
-        return Err(format!("trace read failed: {e}"));
-    }
+        if let Err(e) = core.feed(&interning.load(&buf)) {
+            break Err(e);
+        }
+    };
     res.map(finish_result).map_err(|e| e.msg)
 }
 
-/// Builds the block-sharded partition of a dense-id stream for `cfg`.
+/// Rejects a stream built from different records or under a different
+/// sharing model than the run uses.
+fn check_aligned(
+    what: &str,
+    len: usize,
+    records: usize,
+    sharing: SharingModel,
+    cfg: &RunConfig,
+) -> Result<(), String> {
+    if len != records {
+        return Err(format!(
+            "{what} has {len} entries for {records} records; rebuild it from the same stream"
+        ));
+    }
+    if sharing != cfg.sharing {
+        return Err(format!(
+            "{what} was built under {sharing:?} sharing but the run uses {:?}; rebuild it for \
+             this sharing model",
+            cfg.sharing
+        ));
+    }
+    Ok(())
+}
+
+/// Replays a structure-of-arrays stream through a monomorphized instance
+/// of `kind`, with `recorder` observing the cumulative counters after
+/// every reference (pass [`NoopRecorder`] to observe nothing: the quiet
+/// loop then runs).
+///
+/// `records` must be the stream `soa` was built from: the quiet loop
+/// never touches it, but finite-cache set selection and error text do.
+///
+/// # Errors
+///
+/// As [`run`]; additionally errs if `soa` is misaligned with `records` or
+/// was built under a different sharing model than `cfg` uses.
+pub fn run_soa<R: Recorder>(
+    kind: ProtocolKind,
+    n_caches: usize,
+    records: &[TraceRecord],
+    soa: &SoaStream,
+    cfg: &RunConfig,
+    recorder: &mut R,
+) -> Result<RunResult, String> {
+    check_aligned("soa stream", soa.len(), records.len(), soa.sharing, cfg)?;
+    struct Visit<'a, R> {
+        records: &'a [TraceRecord],
+        soa: &'a SoaStream,
+        cfg: &'a RunConfig,
+        recorder: &'a mut R,
+    }
+    impl<R: Recorder> ProtocolVisitor for Visit<'_, R> {
+        type Output = Result<CoreResult, EngineError>;
+        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+            let mut core =
+                Core::new(&mut protocol, self.cfg, self.recorder, self.soa.num_blocks, None);
+            let batch = Batch { soa: self.soa, grefs: None, origin: Origin::Aligned(self.records) };
+            core.feed(&batch)?;
+            core.finish()
+        }
+    }
+    dispatch_sized(kind, n_caches, soa.num_blocks, Visit { records, soa, cfg, recorder })
+        .map(finish_result)
+        .map_err(|e| e.msg)
+}
+
+/// Builds the block-sharded partition of `soa` (built from `records`) for
+/// `cfg`.
 ///
 /// Infinite-cache runs shard by `block_id % shards` — the same router
-/// [`dircc_trace::TraceStore::sharded`] memoizes, so engine-level and
-/// store-level partitions agree. Finite-cache runs shard by the tag
-/// store's *set index* of the original block instead: LRU eviction is
-/// confined to a set, so keeping every set's accesses in one shard
-/// preserves victim choice exactly. A finite config cannot honour more
-/// shards than it has sets, so the shard count is clamped to `sets`
-/// (falling back to 1 shard for a single-set cache).
+/// [`dircc_trace::TraceStore::sharded_soa`] memoizes. Finite-cache runs
+/// shard by the tag store's *set index* of the original block instead:
+/// LRU eviction is confined to a set, so keeping every set's accesses in
+/// one shard preserves victim choice exactly. A finite config cannot
+/// honour more shards than it has sets, so the shard count is clamped to
+/// `sets` (falling back to 1 shard for a single-set cache).
 pub fn shard_stream(
     records: &[TraceRecord],
-    dense: &[u32],
-    num_blocks: usize,
+    soa: &SoaStream,
     shards: usize,
     cfg: &RunConfig,
-) -> ShardedStream {
+) -> ShardedSoa {
     let shards = shards.max(1);
     match cfg.finite_cache {
-        None => {
-            ShardedStream::build(records, dense, num_blocks, shards, |_, gid| gid as usize % shards)
-        }
+        None => ShardedSoa::build(soa, shards, |_, gid| gid as usize % shards),
         Some(fc) => {
             let shards = shards.min(fc.sets);
-            let geometry = cfg.geometry;
-            ShardedStream::build(records, dense, num_blocks, shards, |r, _| {
-                fc.set_of(geometry.block_of(r.addr)) % shards
+            ShardedSoa::build(soa, shards, |i, _| {
+                fc.set_of(cfg.geometry.block_of(records[i].addr)) % shards
             })
         }
     }
 }
 
-/// Replays a block-sharded stream through one protocol instance per shard
-/// (constructed via [`dircc_core::split_shards`]) and folds the per-shard
-/// results into one [`RunResult`] **bit-identical to [`run_indexed`]** on
-/// the unsharded stream.
+/// Replays one in-memory shard through `protocol`.
+fn replay_shard<P: Protocol + ?Sized>(
+    protocol: &mut P,
+    shard: &Shard,
+    records: &[TraceRecord],
+    cfg: &RunConfig,
+) -> Result<CoreResult, EngineError> {
+    let mut recorder = NoopRecorder;
+    let mut core =
+        Core::new(protocol, cfg, &mut recorder, shard.soa.num_blocks, Some(&shard.global_ids));
+    core.feed(&Batch {
+        soa: &shard.soa,
+        grefs: Some(&shard.global_refs),
+        origin: Origin::ByGref(records),
+    })?;
+    core.finish()
+}
+
+/// Replays a block-sharded partition (from [`shard_stream`] or the
+/// store's memo) through monomorphized per-shard instances of `kind` and
+/// folds the per-shard results into one [`RunResult`] **bit-identical to
+/// [`run_soa`]** on the unsharded stream. `observe(shard, started, wall,
+/// refs)` is called once per shard replay, from the thread that replayed
+/// it, so callers can attribute per-shard spans.
 ///
 /// Why the fold is exact:
 ///
@@ -499,101 +738,86 @@ pub fn shard_stream(
 /// at a different reference than serially. Correct protocols (and the
 /// single-shard case) are unaffected.
 ///
-/// Shards replay on [`std::thread::scope`] workers (inline when there is
-/// only one shard).
-///
 /// # Errors
 ///
-/// As [`run_indexed`]; across shards the error with the smallest global
+/// As [`run_soa`]; across shards the error with the smallest global
 /// reference number wins, deterministically.
-pub fn run_sharded(
+pub fn run_sharded<O>(
     kind: ProtocolKind,
     n_caches: usize,
-    sharded: &ShardedStream,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    run_sharded_with(
-        split_shards(kind, n_caches, &sharded.shard_blocks()),
-        sharded,
-        cfg,
-        noop_observer,
-    )
-}
-
-/// A [`run_sharded_with`] observer that records nothing.
-pub(crate) fn noop_observer(_shard: usize, _started: Instant, _dur: Duration, _refs: u64) {}
-
-/// [`run_sharded`] over caller-built protocol instances (one per shard,
-/// e.g. from [`dircc_core::split_shards`]), with an observer called once
-/// per shard replay — `observe(shard, started, wall, refs)` — from the
-/// thread that replayed it, so callers can attribute per-shard spans.
-/// Counters are unaffected by the observer.
-///
-/// # Errors
-///
-/// As [`run_sharded`]; additionally errs if the instance count does not
-/// match the shard count.
-pub fn run_sharded_with<O>(
-    protocols: Vec<Box<dyn Protocol>>,
-    sharded: &ShardedStream,
+    records: &[TraceRecord],
+    sharded: &ShardedSoa,
     cfg: &RunConfig,
     observe: O,
 ) -> Result<RunResult, String>
 where
     O: Fn(usize, Instant, Duration, u64) + Sync,
 {
-    let shards = sharded.shards();
-    if protocols.len() != shards.len() {
-        return Err(format!(
-            "{} protocol instance(s) for {} shard(s); build one per shard",
-            protocols.len(),
-            shards.len()
-        ));
+    check_aligned(
+        "sharded stream",
+        sharded.total_records(),
+        records.len(),
+        sharded.sharing(),
+        cfg,
+    )?;
+    struct Visit<'a> {
+        shard: &'a Shard,
+        records: &'a [TraceRecord],
+        cfg: &'a RunConfig,
     }
-    let slots: Vec<std::sync::Mutex<Option<Result<CoreResult, EngineError>>>> =
-        shards.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    {
-        let run_one = |idx: usize, protocol: &mut dyn Protocol| {
-            let started = Instant::now();
-            let res = replay_shard(protocol, &shards[idx], cfg);
-            let refs = match &res {
-                Ok(o) => o.refs,
-                Err(_) => shards[idx].records.len() as u64,
-            };
-            observe(idx, started, started.elapsed(), refs);
-            *slots[idx].lock().expect("shard slot poisoned") = Some(res);
-        };
-        if shards.len() == 1 {
-            let mut protocols = protocols;
-            run_one(0, protocols[0].as_mut());
-        } else {
-            std::thread::scope(|scope| {
-                for (idx, mut protocol) in protocols.into_iter().enumerate() {
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(idx, protocol.as_mut()));
-                }
-            });
+    impl ProtocolVisitor for Visit<'_> {
+        type Output = Result<CoreResult, EngineError>;
+        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+            replay_shard(&mut protocol, self.shard, self.records, self.cfg)
         }
     }
-
-    merge_shard_results(slots)
+    let shards = sharded.shards();
+    replay_shards(shards.len(), observe, |idx| {
+        let shard = &shards[idx];
+        // The concrete type is resolved per shard on its own worker: no
+        // `Box<dyn Protocol>` ever crosses into the replay loop.
+        let res =
+            dispatch_sized(kind, n_caches, shard.soa.num_blocks, Visit { shard, records, cfg });
+        (res, shard.soa.len() as u64)
+    })
 }
 
-/// Folds per-shard replay results into one [`RunResult`] — additive
+/// Runs `replay(shard)` for every shard on [`std::thread::scope`] workers
+/// (inline when there is only one) and folds the results: additive
 /// counter merge in shard order, findings re-sorted by global reference
-/// number then capped, smallest `(gref, shard)` error winning — shared by
-/// the in-memory ([`run_sharded_with`]) and spilled
-/// ([`run_sharded_spilled`]) parallel paths so both merge identically.
-pub(crate) fn merge_shard_results(
-    slots: Vec<std::sync::Mutex<Option<Result<CoreResult, EngineError>>>>,
-) -> Result<RunResult, String> {
+/// number then capped, smallest `(gref, shard)` error winning. `replay`
+/// also returns the shard's record count, which `observe` reports.
+fn replay_shards<O, F>(shards: usize, observe: O, replay: F) -> Result<RunResult, String>
+where
+    O: Fn(usize, Instant, Duration, u64) + Sync,
+    F: Fn(usize) -> (Result<CoreResult, EngineError>, u64) + Sync,
+{
+    let slots: Vec<Mutex<Option<Result<CoreResult, EngineError>>>> =
+        (0..shards).map(|_| Mutex::new(None)).collect();
+    let run_one = |idx: usize| {
+        let started = Instant::now();
+        let (res, len) = replay(idx);
+        let refs = res.as_ref().map_or(len, |o| o.refs);
+        observe(idx, started, started.elapsed(), refs);
+        *slots[idx].lock().expect("shard slot poisoned") = Some(res);
+    };
+    if shards == 1 {
+        run_one(0);
+    } else {
+        std::thread::scope(|scope| {
+            for idx in 0..shards {
+                let run_one = &run_one;
+                scope.spawn(move || run_one(idx));
+            }
+        });
+    }
+
     let mut counters = EventCounters::new();
     let mut refs = 0u64;
     let mut findings: Vec<(u64, String)> = Vec::new();
     let mut first_err: Option<(u64, usize, String)> = None;
     for (idx, slot) in slots.into_iter().enumerate() {
-        let res = slot.into_inner().expect("shard slot poisoned").expect("shard replay completed");
-        match res {
+        match slot.into_inner().expect("shard slot poisoned").expect("shard replay completed") {
             Ok(o) => {
                 counters.merge(&o.counters);
                 refs += o.refs;
@@ -614,12 +838,61 @@ pub(crate) fn merge_shard_results(
     Ok(finish_result(CoreResult { counters, refs, violations: findings }))
 }
 
+/// Replays a streamed trace — any [`ChunkSource`], e.g. a
+/// [`ChunkedReader`](dircc_trace::ChunkedReader) over an on-disk v2 file —
+/// through a monomorphized instance of `kind`, holding at most one chunk
+/// of records in memory.
+///
+/// Blocks are interned incrementally as chunks arrive, in the same
+/// first-appearance order a whole-stream interner assigns, so counters
+/// are bit-identical to [`run_soa`] on the same records.
+///
+/// # Errors
+///
+/// As [`run`]; additionally reports I/O and decode errors from the source.
+pub fn run_chunked<S: ChunkSource>(
+    kind: ProtocolKind,
+    n_caches: usize,
+    source: &mut S,
+    cfg: &RunConfig,
+) -> Result<RunResult, String> {
+    struct Visit<'a, S> {
+        source: &'a mut S,
+        cfg: &'a RunConfig,
+    }
+    impl<S: ChunkSource> ProtocolVisitor for Visit<'_, S> {
+        type Output = Result<CoreResult, EngineError>;
+        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+            let mut recorder = NoopRecorder;
+            let mut core = Core::new(&mut protocol, self.cfg, &mut recorder, 0, None);
+            let mut interning = Interning::new(self.cfg);
+            let mut chunk: Vec<TraceRecord> = Vec::new();
+            loop {
+                match self.source.next_chunk(&mut chunk) {
+                    Ok(true) => {}
+                    Ok(false) => break,
+                    // An I/O error truncates the stream; it must not pass
+                    // for a clean end of trace.
+                    Err(e) => {
+                        return Err(EngineError { gref: 0, msg: format!("trace read failed: {e}") })
+                    }
+                }
+                for part in chunk.chunks(BATCH) {
+                    core.feed(&interning.load(part))?;
+                }
+            }
+            core.finish()
+        }
+    }
+    dispatch(kind, n_caches, Visit { source, cfg }).map(finish_result).map_err(|e| e.msg)
+}
+
 /// Partitions a streamed trace into per-shard spill files under `dir`
 /// (which must exist), using the same routing [`shard_stream`] uses for
 /// `cfg` — `block_id % shards` for infinite caches, set index (clamped to
 /// the set count) for finite ones — so spilled replay merges
 /// bit-identically with [`run_sharded`]. Memory stays proportional to
-/// distinct blocks, never trace length: this is how `run_sharded` scales
+/// distinct blocks, never trace length: this is how sharded replay scales
 /// to traces larger than RAM.
 ///
 /// # Errors
@@ -644,79 +917,11 @@ pub fn spill_sharded<S: ChunkSource>(
     }
 }
 
-/// Replays a spilled partition (from [`spill_sharded`]) through one
-/// protocol instance per shard, streaming each shard's spill file with
-/// bounded memory, and folds the results **bit-identically to
-/// [`run_sharded`]** on the same stream: the spill files carry exactly the
-/// record / shard-local id / global reference triples an in-memory
-/// [`Shard`] carries, and the merge is [`merge_shard_results`].
-///
-/// # Errors
-///
-/// As [`run_sharded`]; additionally reports I/O errors reading spill files.
-pub fn run_sharded_spilled(
-    kind: ProtocolKind,
-    n_caches: usize,
-    spilled: &SpilledShards,
-    cfg: &RunConfig,
-) -> Result<RunResult, String> {
-    let protocols = split_shards(kind, n_caches, &spilled.shard_blocks());
-    let shards = spilled.shards();
-    let slots: Vec<std::sync::Mutex<Option<Result<CoreResult, EngineError>>>> =
-        shards.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    {
-        let run_one = |idx: usize, protocol: &mut dyn Protocol| {
-            let res = replay_spilled_shard(protocol, &shards[idx], cfg);
-            *slots[idx].lock().expect("shard slot poisoned") = Some(res);
-        };
-        if shards.len() == 1 {
-            let mut protocols = protocols;
-            run_one(0, protocols[0].as_mut());
-        } else {
-            std::thread::scope(|scope| {
-                for (idx, mut protocol) in protocols.into_iter().enumerate() {
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(idx, protocol.as_mut()));
-                }
-            });
-        }
-    }
-    merge_shard_results(slots)
-}
-
-/// Iterator feeding [`run_core`] from a spill file. The shard-local dense
-/// id travels through a [`Cell`] side channel: `next` stores it, the
-/// resolve closure reads it — safe because [`run_core`] is single-threaded
-/// and resolves each record before pulling the next.
-struct SpilledRecords<'a> {
-    entries: dircc_trace::spill::SpilledEntries,
-    lid: &'a Cell<u32>,
-    err: &'a RefCell<Option<io::Error>>,
-}
-
-impl Iterator for SpilledRecords<'_> {
-    type Item = (TraceRecord, u64);
-
-    fn next(&mut self) -> Option<(TraceRecord, u64)> {
-        match self.entries.next() {
-            Some(Ok(e)) => {
-                self.lid.set(e.local_id);
-                Some((e.record, e.gref))
-            }
-            Some(Err(e)) => {
-                *self.err.borrow_mut() = Some(e);
-                None
-            }
-            None => None,
-        }
-    }
-}
-
-/// Replays one spilled shard: [`run_core`] over the shard's spill file
-/// with its shard-local dense ids, first-ref bitvec and global reference
-/// numbers — the streaming twin of [`replay_shard`].
-fn replay_spilled_shard(
-    protocol: &mut dyn Protocol,
+/// Streams one shard's spill file into the core a batch at a time: the
+/// entries' records, shard-local ids and global reference numbers become
+/// a batch, with first references tracked in a bit vector.
+fn replay_spilled_shard<P: Protocol + ?Sized>(
+    protocol: &mut P,
     shard: &SpilledShard,
     cfg: &RunConfig,
 ) -> Result<CoreResult, EngineError> {
@@ -726,285 +931,92 @@ fn replay_spilled_shard(
         gref: 0,
         msg: format!("spilled shard read failed: {e}"),
     };
-    let entries = shard.entries().map_err(read_err)?;
+    let mut entries = shard.entries().map_err(read_err)?;
+    let mut recorder = NoopRecorder;
+    let mut core =
+        Core::new(protocol, cfg, &mut recorder, shard.num_blocks, Some(&shard.global_ids));
     let mut seen = vec![0u64; shard.num_blocks.div_ceil(64)];
-    let lid = Cell::new(0u32);
-    let io_err: RefCell<Option<io::Error>> = RefCell::new(None);
-    let records = SpilledRecords { entries, lid: &lid, err: &io_err };
-    let global_ids = &shard.global_ids;
-    let res = run_core(
-        protocol,
-        records,
-        cfg,
-        shard.num_blocks,
-        |_, _| {
-            let id = lid.get();
-            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-            if word >= seen.len() {
-                seen.resize(word + 1, 0);
-            }
-            let first_ref = seen[word] & bit == 0;
-            seen[word] |= bit;
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        // Violation messages name blocks by *global* dense id, matching
-        // the serial run byte-for-byte.
-        |b| BlockAddr::from_index(u64::from(global_ids[b.index() as usize])),
-        &mut NoopRecorder,
-    );
-    if let Some(e) = io_err.into_inner() {
-        return Err(read_err(e));
-    }
-    res
-}
-
-/// Replays one shard: [`run_core`] over the shard's records with its
-/// shard-local dense ids, first-ref bitvec and global reference numbers.
-fn replay_shard<P: Protocol + ?Sized>(
-    protocol: &mut P,
-    shard: &Shard,
-    cfg: &RunConfig,
-) -> Result<CoreResult, EngineError> {
-    let mut seen = vec![0u64; shard.num_blocks.div_ceil(64)];
-    let dense = &shard.dense;
-    run_core(
-        protocol,
-        shard.records.iter().copied().zip(shard.global_refs.iter().copied()),
-        cfg,
-        shard.num_blocks,
-        move |_, idx| {
-            let id = dense[idx];
-            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-            let first_ref = seen[word] & bit == 0;
-            seen[word] |= bit;
-            (BlockAddr::from_index(u64::from(id)), first_ref)
-        },
-        // Violation messages name blocks by *global* dense id, matching
-        // the serial run byte-for-byte.
-        |b| BlockAddr::from_index(u64::from(shard.global_ids[b.index() as usize])),
-        &mut NoopRecorder,
-    )
-}
-
-/// The shared replay loop. `records` yields `(record, gref)` pairs where
-/// `gref` is the record's 1-based *global* reference number (equal to the
-/// loop count for unsharded runs; the original trace position for shard
-/// sub-streams) — used in error and violation messages so sharded
-/// findings merge back in trace order. `resolve(orig_block, index)`
-/// returns the dense block address and whether this is the block's global
-/// first reference (`index` is the 0-based position within this stream);
-/// `display` maps a dense block to the label violation messages print —
-/// identity for unsharded runs, shard-local → global dense id for shard
-/// sub-streams, so sharded violation text is byte-identical to serial
-/// (it is only called on the verify path, never in the hot loop);
-/// `block_capacity` pre-sizes the verifier's dense tables. The recorder
-/// sees the cumulative counters once per record, after every counter
-/// mutation that record caused (eviction traffic included), so windowed
-/// deltas partition the run exactly.
-fn run_core<P, I, F, D, R>(
-    protocol: &mut P,
-    records: I,
-    cfg: &RunConfig,
-    block_capacity: usize,
-    mut resolve: F,
-    display: D,
-    recorder: &mut R,
-) -> Result<CoreResult, EngineError>
-where
-    P: Protocol + ?Sized,
-    I: IntoIterator<Item = (TraceRecord, u64)>,
-    F: FnMut(BlockAddr, usize) -> (BlockAddr, bool),
-    D: Fn(BlockAddr) -> BlockAddr,
-    R: Recorder,
-{
-    let mut counters = EventCounters::new();
-    let n = protocol.num_caches();
-    let mut verifier = cfg.verify.then(|| Verifier::new(n, block_capacity));
-    let mut violations = Vec::new();
-    let mut refs = 0u64;
-    // Finite-mode tag stores mirror each cache's resident blocks; LRU
-    // victims are evicted from the protocol. Tags invalidated by remote
-    // writes linger until replaced (as in real caches). Set selection uses
-    // raw address bits, so the stores are keyed on the ORIGINAL block
-    // address and carry the dense address as their state.
-    let mut tag_stores: Option<Vec<SetAssocCache<BlockAddr>>> =
-        cfg.finite_cache.map(|fc| (0..n).map(|_| SetAssocCache::new(fc)).collect());
-
-    // One reference, shared by both loops below (`r`, `gref`, and the
-    // surrounding mutable state bind at the expansion site).
-    macro_rules! step {
-        ($r:ident, $gref:ident) => {{
-            refs += 1;
-            if $r.kind == AccessKind::InstrFetch {
-                counters.observe(&dircc_core::Outcome::quiet(Event::Instr));
-                recorder.record(refs, &counters);
-                continue;
-            }
-            let cache_idx = match cfg.sharing {
-                SharingModel::Processor => $r.cpu.raw(),
-                SharingModel::Process => $r.pid.raw(),
-            };
-            if usize::from(cache_idx) >= n {
-                return Err(EngineError {
-                    gref: $gref,
-                    msg: format!(
-                        "reference {}: cache index {cache_idx} out of range for {n} caches \
-                         ({}, {}, {:?} at {}; did you size the protocol for the sharing model?)",
-                        $gref, $r.cpu, $r.pid, $r.kind, $r.addr
-                    ),
-                });
-            }
-            let cache = CacheId::new(cache_idx);
-            let orig_block = cfg.geometry.block_of($r.addr);
-            let (block, first_ref) = resolve(orig_block, (refs - 1) as usize);
-            let out = protocol.access(cache, $r.kind, block, first_ref);
-            counters.observe(&out);
-
-            if let Some(v) = verifier.as_mut() {
-                verify_access(
-                    protocol,
-                    v,
-                    cache,
-                    $r.kind,
-                    block,
-                    display(block),
-                    &out,
-                    &mut violations,
-                    $gref,
-                );
-            }
-            if let Some(stores) = tag_stores.as_mut() {
-                let store = &mut stores[cache.index()];
-                if let Lookup::Inserted { evicted: Some(victim) } =
-                    store.lookup_or_insert(orig_block, block)
-                {
-                    let evo = protocol.evict(cache, victim.state);
-                    counters.observe_eviction(&evo);
-                    if evo.write_back {
-                        if let Some(v) = verifier.as_mut() {
-                            // The evicted copy holds the latest data in
-                            // every protocol that answers WRITE_BACK.
-                            let ver = v.copy_version(cache, victim.state);
-                            v.set_memory(victim.state, ver);
+    let mut soa = SoaStream::new(cfg.sharing);
+    let mut records: Vec<TraceRecord> = Vec::with_capacity(BATCH);
+    let mut grefs: Vec<u64> = Vec::with_capacity(BATCH);
+    loop {
+        soa.clear();
+        records.clear();
+        grefs.clear();
+        let mut failed = None;
+        while records.len() < BATCH {
+            match entries.next() {
+                Some(Ok(e)) => {
+                    let r = e.record;
+                    if r.is_data() {
+                        let id = e.local_id;
+                        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                        if word >= seen.len() {
+                            seen.resize(word + 1, 0);
                         }
+                        soa.push(r.kind, r.cache_index(cfg.sharing), id, seen[word] & bit == 0);
+                        seen[word] |= bit;
+                    } else {
+                        soa.push(r.kind, 0, 0, false);
                     }
+                    records.push(r);
+                    grefs.push(e.gref);
                 }
-            }
-            recorder.record(refs, &counters);
-        }};
-    }
-
-    // The invariant cadence is hoisted out of the common (cadence 0)
-    // configuration: that loop carries no per-reference modulo test at
-    // all, instead of a dead branch per reference.
-    let every = cfg.check_invariants_every;
-    let records = records.into_iter();
-    if every == 0 {
-        for (r, gref) in records {
-            step!(r, gref);
-        }
-    } else {
-        for (r, gref) in records {
-            step!(r, gref);
-            if refs.is_multiple_of(every) {
-                protocol.check_invariants().map_err(|e| EngineError {
-                    gref,
-                    msg: format!("invariant violation at reference {gref}: {e}"),
-                })?;
+                Some(Err(e)) => {
+                    failed = Some(e);
+                    break;
+                }
+                None => break,
             }
         }
+        if records.is_empty() && failed.is_none() {
+            return core.finish();
+        }
+        // Entries decoded before a read error still replay first, so an
+        // engine error earlier in the file keeps precedence.
+        core.feed(&Batch { soa: &soa, grefs: Some(&grefs), origin: Origin::Aligned(&records) })?;
+        if let Some(e) = failed {
+            return Err(read_err(e));
+        }
     }
-    if cfg.check_invariants_every > 0 {
-        protocol.check_invariants().map_err(|e| EngineError {
-            gref: u64::MAX,
-            msg: format!("final invariant violation: {e}"),
-        })?;
-    }
-    recorder.finish(refs, &counters);
-    Ok(CoreResult { counters, refs, violations })
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_access<P: Protocol + ?Sized>(
-    protocol: &P,
-    v: &mut Verifier,
-    cache: CacheId,
-    kind: AccessKind,
-    block: BlockAddr,
-    shown: BlockAddr,
-    out: &dircc_core::Outcome,
-    violations: &mut Vec<(u64, String)>,
-    gref: u64,
-) {
-    let mut report = |msg: String| {
-        if violations.len() < MAX_VIOLATIONS {
-            violations.push((gref, msg));
-        }
-    };
-    let holders = protocol.holders(block);
-    if !holders.contains(cache) {
-        report(format!("{cache} accessed {shown} but is not a holder afterwards"));
-        return;
+/// Replays a spilled partition (from [`spill_sharded`]) through
+/// monomorphized per-shard instances of `kind`, streaming each shard's
+/// spill file with bounded memory, and folds the results
+/// **bit-identically to [`run_sharded`]** on the same stream: the spill
+/// files carry exactly the records, shard-local ids and global reference
+/// numbers an in-memory [`Shard`] stands for, and the fold is the same.
+///
+/// # Errors
+///
+/// As [`run_sharded`]; additionally reports I/O errors reading spill files.
+pub fn run_spilled(
+    kind: ProtocolKind,
+    n_caches: usize,
+    spilled: &SpilledShards,
+    cfg: &RunConfig,
+) -> Result<RunResult, String> {
+    struct Visit<'a> {
+        shard: &'a SpilledShard,
+        cfg: &'a RunConfig,
     }
-    match kind {
-        AccessKind::Write => {
-            let new_ver = v.cur_version(block) + 1;
-            v.set_version(block, new_ver);
-            v.set_copy(cache, block, new_ver);
-            if out.memory_updated {
-                v.set_memory(block, new_ver);
-            }
-            match protocol.style() {
-                CoherenceStyle::Update => {
-                    // Updates reach every current holder.
-                    for h in holders.iter() {
-                        v.set_copy(h, block, new_ver);
-                    }
-                }
-                CoherenceStyle::Invalidate => {
-                    // Single-writer: no other copy may survive a write.
-                    if holders.len() != 1 {
-                        report(format!(
-                            "invalidation protocol left {} copies of {shown} after a write",
-                            holders.len()
-                        ));
-                    }
-                }
-            }
+    impl ProtocolVisitor for Visit<'_> {
+        type Output = Result<CoreResult, EngineError>;
+        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+            replay_spilled_shard(&mut protocol, self.shard, self.cfg)
         }
-        AccessKind::Read => {
-            let cur = v.cur_version(block);
-            match out.event {
-                Event::ReadHit => {
-                    let held = v.copy_version(cache, block);
-                    if held != cur {
-                        report(format!(
-                            "read hit observed version {held} of {shown}, latest is {cur}"
-                        ));
-                    }
-                }
-                Event::ReadMiss(_) => {
-                    // Where did the data come from?
-                    if out.memory_updated {
-                        v.set_memory(block, cur);
-                    }
-                    let supplied = if out.cache_supplied || out.write_back {
-                        cur
-                    } else {
-                        v.mem_version(block)
-                    };
-                    if supplied != cur {
-                        report(format!(
-                            "miss on {shown} supplied version {supplied}, latest is {cur}"
-                        ));
-                    }
-                    v.set_copy(cache, block, supplied);
-                }
-                other => report(format!("read classified as {other}")),
-            }
-        }
-        AccessKind::InstrFetch => unreachable!("filtered before the protocol"),
     }
+    let shards = spilled.shards();
+    replay_shards(
+        shards.len(),
+        |_, _, _, _| (),
+        |idx| {
+            let shard = &shards[idx];
+            let res = dispatch_sized(kind, n_caches, shard.num_blocks, Visit { shard, cfg });
+            (res, shard.records)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1019,6 +1031,47 @@ mod tests {
         let res = run(p.as_mut(), trace, &RunConfig::verifying(1)).expect("run succeeds");
         assert!(res.violations.is_empty(), "{}: {:?}", p.name(), res.violations);
         res
+    }
+
+    /// The interned structure-of-arrays split of `records` under `cfg`.
+    fn soa_of(records: &[TraceRecord], cfg: &RunConfig) -> SoaStream {
+        SoaStream::intern(records, cfg.geometry, cfg.sharing)
+    }
+
+    /// Accepts every access as a write hit and never invalidates: every
+    /// access past the first per block is a verifier finding.
+    #[derive(Debug)]
+    struct Stale(dircc_cache::CacheArray<()>);
+
+    impl Stale {
+        fn new() -> Self {
+            Stale(dircc_cache::CacheArray::new(4))
+        }
+    }
+
+    impl Protocol for Stale {
+        fn kind(&self) -> ProtocolKind {
+            ProtocolKind::Wti
+        }
+        fn num_caches(&self) -> usize {
+            self.0.num_caches()
+        }
+        fn access(
+            &mut self,
+            cache: CacheId,
+            _kind: AccessKind,
+            block: BlockAddr,
+            _first: bool,
+        ) -> Outcome {
+            self.0.set(cache, block, ());
+            Outcome::quiet(Event::WriteHit(dircc_core::WriteHitContext::CleanExclusive))
+        }
+        fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
+            self.0.holders(block)
+        }
+        fn check_invariants(&self) -> Result<(), String> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -1098,7 +1151,6 @@ mod tests {
 
     #[test]
     fn finite_caches_generate_evictions_and_write_backs() {
-        use dircc_cache::FiniteCacheConfig;
         // A 2-block direct-mapped cache forced to thrash: each CPU cycles
         // through 4 conflicting blocks, writing each.
         let mut trace = Vec::new();
@@ -1125,7 +1177,6 @@ mod tests {
 
     #[test]
     fn finite_caches_stay_coherent_for_every_protocol() {
-        use dircc_cache::FiniteCacheConfig;
         let trace = patterns::migratory(4, 200);
         for kind in [
             ProtocolKind::Dir0B,
@@ -1193,7 +1244,7 @@ mod tests {
                 kind: AccessKind,
                 block: BlockAddr,
                 first_ref: bool,
-            ) -> dircc_core::Outcome {
+            ) -> Outcome {
                 use dircc_core::{MissContext, WriteHitContext};
                 let hit = self.caches.state(cache, block).is_some();
                 self.caches.set(cache, block, ());
@@ -1208,7 +1259,7 @@ mod tests {
                     (AccessKind::Write, false, false) => Event::WriteMiss(MissContext::MemoryOnly),
                     _ => unreachable!(),
                 };
-                dircc_core::Outcome::quiet(event)
+                Outcome::quiet(event)
             }
             fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
                 self.caches.holders(block)
@@ -1223,28 +1274,71 @@ mod tests {
         assert!(!res.violations.is_empty(), "stale copies must be detected");
     }
 
+    /// The invariant cadence reports the record it stopped at, and the
+    /// end-of-run check its own text.
+    #[test]
+    fn invariant_violation_text_is_pinned() {
+        /// Passes its invariant check for the first `ok` calls only.
+        #[derive(Debug)]
+        struct Brittle {
+            inner: Box<dyn Protocol>,
+            ok: std::cell::Cell<u32>,
+        }
+        impl Protocol for Brittle {
+            fn kind(&self) -> ProtocolKind {
+                self.inner.kind()
+            }
+            fn num_caches(&self) -> usize {
+                self.inner.num_caches()
+            }
+            fn access(&mut self, c: CacheId, k: AccessKind, b: BlockAddr, f: bool) -> Outcome {
+                self.inner.access(c, k, b, f)
+            }
+            fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
+                self.inner.holders(block)
+            }
+            fn check_invariants(&self) -> Result<(), String> {
+                let left = self.ok.get();
+                if left == 0 {
+                    return Err("directory lost a sharer".to_string());
+                }
+                self.ok.set(left - 1);
+                Ok(())
+            }
+        }
+        let brittle = |ok: u32| Brittle { inner: build(ProtocolKind::Dir0B, 4), ok: ok.into() };
+        // Instruction fetches count toward the cadence but never run a
+        // check: over I, D, I, D, ... with every = 3, checks run after
+        // references 6, 12 and 18 of 20 (3, 9 and 15 are fetches).
+        let trace = patterns::with_instr_stream(patterns::migratory(4, 5));
+        let err = run(&mut brittle(1), trace.clone(), &RunConfig::verifying(3)).unwrap_err();
+        assert_eq!(err, "invariant violation at reference 12: directory lost a sharer");
+        let err = run(&mut brittle(3), trace, &RunConfig::verifying(3)).unwrap_err();
+        assert_eq!(err, "final invariant violation: directory lost a sharer");
+    }
+
     #[test]
     fn noop_recorder_is_bit_identical_to_the_plain_entry_point() {
         let trace = patterns::migratory(4, 80);
+        let cfg = RunConfig::default();
         let mut p = build(ProtocolKind::Berkeley, 4);
-        let plain = run(p.as_mut(), trace.clone(), &RunConfig::default()).unwrap();
-        let mut p = build(ProtocolKind::Berkeley, 4);
-        let mut rec = dircc_obs::NoopRecorder;
-        let with = run_with(p.as_mut(), trace, &RunConfig::default(), &mut rec).unwrap();
+        let plain = run(p.as_mut(), trace.clone(), &cfg).unwrap();
+        let soa = soa_of(&trace, &cfg);
+        let with =
+            run_soa(ProtocolKind::Berkeley, 4, &trace, &soa, &cfg, &mut NoopRecorder).unwrap();
         assert_eq!(plain.counters, with.counters);
         assert_eq!(plain.refs, with.refs);
     }
 
     #[test]
     fn windowed_recorder_reconstructs_final_counters() {
-        use dircc_cache::FiniteCacheConfig;
         // Finite caches so eviction traffic flows through the counters
         // too; instruction fetches so every record kind is covered.
         let trace = patterns::with_instr_stream(patterns::migratory(4, 120));
         let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(2, 2));
-        let mut p = build(ProtocolKind::WriteOnce, 4);
+        let soa = soa_of(&trace, &cfg);
         let mut rec = dircc_obs::WindowedRecorder::new(17);
-        let res = run_with(p.as_mut(), trace.clone(), &cfg, &mut rec).unwrap();
+        let res = run_soa(ProtocolKind::WriteOnce, 4, &trace, &soa, &cfg, &mut rec).unwrap();
         let samples = rec.into_samples();
         assert!(samples.len() > 2, "windowing at 17 refs must produce several windows");
         assert_eq!(samples.last().unwrap().end_ref, res.refs);
@@ -1266,12 +1360,9 @@ mod tests {
         let store = TraceStore::new(vec![Profile::pops().with_total_refs(5_000)], 11);
         let cfg = RunConfig::default().with_process_sharing();
         let records = store.records(0, TraceFilter::Full);
-        let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-        let num_blocks = store.interner(0, cfg.geometry).num_blocks();
-        let mut p = dircc_core::build_sized(ProtocolKind::Dir0B, 4, num_blocks);
+        let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
         let mut rec = dircc_obs::WindowedRecorder::new(512);
-        let res =
-            run_indexed_with(p.as_mut(), &records, &dense, num_blocks, &cfg, &mut rec).unwrap();
+        let res = run_soa(ProtocolKind::Dir0B, 4, &records, &soa, &cfg, &mut rec).unwrap();
         let mut sum = EventCounters::new();
         for s in rec.samples() {
             sum.merge(&s.counters);
@@ -1280,18 +1371,13 @@ mod tests {
         assert_eq!(rec.samples().len(), 5_000usize.div_ceil(512));
     }
 
-    fn interned(records: &[TraceRecord], g: BlockGeometry) -> (Vec<u32>, usize) {
-        let interner = dircc_trace::BlockInterner::from_records(records.iter(), g);
-        (interner.dense_stream(records), interner.num_blocks())
-    }
-
     #[test]
     fn sharded_replay_is_bit_identical_for_every_scheme() {
         use dircc_trace::gen::{Generator, Profile};
         let records: Vec<TraceRecord> =
             Generator::new(Profile::pops().with_total_refs(6_000), 9).collect();
         let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-        let (dense, num_blocks) = interned(&records, cfg.geometry);
+        let soa = soa_of(&records, &cfg);
         for kind in [
             ProtocolKind::DirNb { pointers: 1 },
             ProtocolKind::DirNb { pointers: 4 },
@@ -1307,12 +1393,11 @@ mod tests {
             ProtocolKind::Firefly,
             ProtocolKind::Mesi,
         ] {
-            let mut p = build(kind, 4);
-            let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+            let serial = run_soa(kind, 4, &records, &soa, &cfg, &mut NoopRecorder).unwrap();
             for shards in [1, 2, 3, 8] {
-                let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
+                let sharded = shard_stream(&records, &soa, shards, &cfg);
                 assert_eq!(sharded.num_shards(), shards, "infinite caches honour the count");
-                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
+                let res = run_sharded(kind, 4, &records, &sharded, &cfg, |_, _, _, _| ()).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.refs, res.refs);
                 assert_eq!(serial.violations, res.violations);
@@ -1322,7 +1407,6 @@ mod tests {
 
     #[test]
     fn set_sharded_finite_caches_are_bit_identical() {
-        use dircc_cache::FiniteCacheConfig;
         // Four CPUs cycling writes through 24 blocks — 6 blocks per set of
         // a 4-set × 2-way cache, so every set thrashes and evicts.
         let trace: Vec<TraceRecord> = (0..1200u64)
@@ -1341,15 +1425,14 @@ mod tests {
             verify: true,
             ..RunConfig::default().with_finite_caches(FiniteCacheConfig::new(4, 2))
         };
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
+        let soa = soa_of(&trace, &cfg);
         for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let mut p = build(kind, 4);
-            let serial = run_indexed(p.as_mut(), &trace, &dense, num_blocks, &cfg).unwrap();
+            let serial = run_soa(kind, 4, &trace, &soa, &cfg, &mut NoopRecorder).unwrap();
             assert!(serial.counters.cache_evictions() > 0, "exercise eviction traffic");
             for shards in [2, 3, 4, 8] {
-                let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
+                let sharded = shard_stream(&trace, &soa, shards, &cfg);
                 assert!(sharded.num_shards() <= 4, "clamped to the set count");
-                let res = run_sharded(kind, 4, &sharded, &cfg).unwrap();
+                let res = run_sharded(kind, 4, &trace, &sharded, &cfg, |_, _, _, _| ()).unwrap();
                 assert_eq!(serial.counters, res.counters, "{kind} at {shards} shards");
                 assert_eq!(serial.violations, res.violations);
             }
@@ -1358,49 +1441,18 @@ mod tests {
 
     #[test]
     fn finite_single_set_falls_back_to_one_shard() {
-        use dircc_cache::FiniteCacheConfig;
         let trace = patterns::migratory(4, 40);
         let cfg = RunConfig::default().with_finite_caches(FiniteCacheConfig::new(1, 2));
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let sharded = shard_stream(&trace, &dense, num_blocks, 8, &cfg);
+        let sharded = shard_stream(&trace, &soa_of(&trace, &cfg), 8, &cfg);
         assert_eq!(sharded.num_shards(), 1);
     }
 
     #[test]
     fn sharded_violations_merge_in_trace_order_with_the_serial_cap() {
-        // The Stale protocol above violates on every access; over many
-        // blocks the violations land in different shards, so this pins
-        // the cap-after-merge semantics: exactly the serial run's first
-        // MAX_VIOLATIONS findings, in its order.
-        #[derive(Debug)]
-        struct Stale(dircc_cache::CacheArray<()>);
-        impl Protocol for Stale {
-            fn kind(&self) -> ProtocolKind {
-                ProtocolKind::Wti
-            }
-            fn num_caches(&self) -> usize {
-                self.0.num_caches()
-            }
-            fn access(
-                &mut self,
-                cache: CacheId,
-                _kind: AccessKind,
-                block: BlockAddr,
-                _first: bool,
-            ) -> dircc_core::Outcome {
-                self.0.set(cache, block, ());
-                dircc_core::Outcome::quiet(Event::WriteHit(
-                    dircc_core::WriteHitContext::CleanExclusive,
-                ))
-            }
-            fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
-                self.0.holders(block)
-            }
-            fn check_invariants(&self) -> Result<(), String> {
-                Ok(())
-            }
-        }
-        use dircc_types::{Address, CpuId, ProcessId};
+        // Stale violates on every access; over many blocks the violations
+        // land in different shards, so this pins the cap-after-merge
+        // semantics: exactly the serial run's first MAX_VIOLATIONS
+        // findings, in its order.
         let trace: Vec<TraceRecord> = (0..120u64)
             .map(|i| {
                 TraceRecord::new(
@@ -1412,16 +1464,20 @@ mod tests {
             })
             .collect();
         let cfg = RunConfig::verifying(0);
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let mut p = Stale(dircc_cache::CacheArray::new(4));
-        let serial = run_indexed(&mut p, &trace, &dense, num_blocks, &cfg).unwrap();
+        let serial = run(&mut Stale::new(), trace.clone(), &cfg).unwrap();
         assert_eq!(serial.violations.len(), MAX_VIOLATIONS);
+        let soa = soa_of(&trace, &cfg);
         for shards in [2, 3, 5] {
-            let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
-            let protocols: Vec<Box<dyn Protocol>> = (0..shards)
-                .map(|_| Box::new(Stale(dircc_cache::CacheArray::new(4))) as Box<dyn Protocol>)
-                .collect();
-            let res = run_sharded_with(protocols, &sharded, &cfg, |_, _, _, _| ()).unwrap();
+            let sharded = shard_stream(&trace, &soa, shards, &cfg);
+            let res = replay_shards(
+                shards,
+                |_, _, _, _| (),
+                |i| {
+                    let shard = &sharded.shards()[i];
+                    (replay_shard(&mut Stale::new(), shard, &trace, &cfg), shard.soa.len() as u64)
+                },
+            )
+            .unwrap();
             assert_eq!(serial.violations, res.violations, "{shards} shards");
         }
     }
@@ -1429,37 +1485,41 @@ mod tests {
     #[test]
     fn sharded_error_is_the_serial_first_error() {
         // An out-of-range CPU in the middle of the stream: whichever shard
-        // it lands in, the reported error must be the serial one.
-        use dircc_types::{Address, CpuId, ProcessId};
+        // it lands in, the reported error must be the serial one — text
+        // pinned, original record included.
         let mut trace = patterns::migratory(4, 60);
         trace.insert(
             30,
             TraceRecord::new(CpuId::new(9), ProcessId::new(9), AccessKind::Read, Address::new(0)),
         );
         let cfg = RunConfig::default();
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let mut p = build(ProtocolKind::Dir0B, 4);
-        let serial = run_indexed(p.as_mut(), &trace, &dense, num_blocks, &cfg).unwrap_err();
+        let soa = soa_of(&trace, &cfg);
+        let serial =
+            run_soa(ProtocolKind::Dir0B, 4, &trace, &soa, &cfg, &mut NoopRecorder).unwrap_err();
+        assert_eq!(
+            serial,
+            "reference 31: cache index 9 out of range for 4 caches (cpu9, pid9, Read at 0x0; \
+             did you size the protocol for the sharing model?)"
+        );
         for shards in [1, 2, 4] {
-            let sharded = shard_stream(&trace, &dense, num_blocks, shards, &cfg);
-            let err = run_sharded(ProtocolKind::Dir0B, 4, &sharded, &cfg).unwrap_err();
+            let sharded = shard_stream(&trace, &soa, shards, &cfg);
+            let err = run_sharded(ProtocolKind::Dir0B, 4, &trace, &sharded, &cfg, |_, _, _, _| ())
+                .unwrap_err();
             assert_eq!(serial, err, "{shards} shards");
         }
     }
 
     #[test]
     fn sharded_observer_sees_every_shard_once() {
-        use std::sync::Mutex;
         let trace = patterns::migratory(4, 200);
         let cfg = RunConfig::default();
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let sharded = shard_stream(&trace, &dense, num_blocks, 3, &cfg);
+        let sharded = shard_stream(&trace, &soa_of(&trace, &cfg), 3, &cfg);
         let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-        let protocols = dircc_core::split_shards(ProtocolKind::Mesi, 4, &sharded.shard_blocks());
-        let res = run_sharded_with(protocols, &sharded, &cfg, |shard, _, _, refs| {
-            seen.lock().unwrap().push((shard, refs));
-        })
-        .unwrap();
+        let res =
+            run_sharded(ProtocolKind::Mesi, 4, &trace, &sharded, &cfg, |shard, _, _, refs| {
+                seen.lock().unwrap().push((shard, refs));
+            })
+            .unwrap();
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen.len(), 3);
@@ -1468,50 +1528,30 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_instance_count_is_an_error() {
+    fn mismatched_partition_is_an_error() {
         let trace = patterns::migratory(4, 20);
         let cfg = RunConfig::default();
-        let (dense, num_blocks) = interned(&trace, cfg.geometry);
-        let sharded = shard_stream(&trace, &dense, num_blocks, 2, &cfg);
-        let err =
-            run_sharded_with(vec![build(ProtocolKind::Dir0B, 4)], &sharded, &cfg, |_, _, _, _| ())
-                .unwrap_err();
-        assert!(err.contains("one per shard"), "{err}");
+        let sharded = shard_stream(&trace, &soa_of(&trace, &cfg), 2, &cfg);
+        let err = run_sharded(ProtocolKind::Dir0B, 4, &trace[1..], &sharded, &cfg, |_, _, _, _| ())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "sharded stream has 40 entries for 39 records; rebuild it from the same stream"
+        );
+        let process = cfg.with_process_sharing();
+        let err = run_sharded(ProtocolKind::Dir0B, 4, &trace, &sharded, &process, |_, _, _, _| ())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "sharded stream was built under Processor sharing but the run uses Process; rebuild \
+             it for this sharing model"
+        );
     }
 
     #[test]
     fn violations_are_capped() {
         let trace = patterns::ping_pong(100);
-        #[derive(Debug)]
-        struct Stale(dircc_cache::CacheArray<()>);
-        impl Protocol for Stale {
-            fn kind(&self) -> ProtocolKind {
-                ProtocolKind::Wti
-            }
-            fn num_caches(&self) -> usize {
-                self.0.num_caches()
-            }
-            fn access(
-                &mut self,
-                cache: CacheId,
-                _kind: AccessKind,
-                block: BlockAddr,
-                _first: bool,
-            ) -> dircc_core::Outcome {
-                self.0.set(cache, block, ());
-                dircc_core::Outcome::quiet(Event::WriteHit(
-                    dircc_core::WriteHitContext::CleanExclusive,
-                ))
-            }
-            fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
-                self.0.holders(block)
-            }
-            fn check_invariants(&self) -> Result<(), String> {
-                Ok(())
-            }
-        }
-        let mut p = Stale(dircc_cache::CacheArray::new(4));
-        let res = run(&mut p, trace, &RunConfig::verifying(0)).unwrap();
+        let res = run(&mut Stale::new(), trace, &RunConfig::verifying(0)).unwrap();
         assert_eq!(res.violations.len(), MAX_VIOLATIONS);
     }
 }

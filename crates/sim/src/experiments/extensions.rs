@@ -14,7 +14,7 @@
 //!   capture more spatial locality but invite more false sharing) and the
 //!   transfer costs.
 
-use crate::engine::{run, RunConfig};
+use crate::engine::{run, run_soa, RunConfig};
 use crate::metrics::{mean, Evaluation};
 use crate::par::par_map_indexed;
 use crate::report::{cycles, Table};
@@ -24,7 +24,8 @@ use dircc_bus::{BusKind, BusTiming, CostConfig, CostModel};
 #[allow(unused_imports)]
 use dircc_cache as _;
 use dircc_cache::{FiniteCacheConfig, SetAssocCache};
-use dircc_core::{build, ProtocolKind};
+use dircc_core::{build, EventCounters, ProtocolKind};
+use dircc_obs::NoopRecorder;
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 use dircc_types::BlockGeometry;
@@ -335,28 +336,32 @@ pub struct Footnote2Study {
 
 /// Runs Dir0B through genuinely finite caches (protocol evictions and
 /// all), not just the first-order miss-count correction.
+///
+/// The finite points replay the store's memoized structure-of-arrays
+/// stream; the infinite point is the workbench's own memoized run.
 pub fn footnote2(wb: &Workbench) -> Footnote2Study {
     use dircc_cache::FiniteCacheConfig;
+    let infinite = RunConfig::default().with_process_sharing();
     let mut points = Vec::new();
-    let mut capacities: Vec<Option<usize>> = vec![Some(256), Some(1024), Some(4096), None];
-    capacities.reverse(); // run infinite first (no reason, just stable output order after re-reverse)
-    capacities.reverse();
-    for cap in capacities {
+    for cap in [Some(256), Some(1024), Some(4096), None] {
         let mut coherence = Vec::new();
         let mut total = Vec::new();
         let mut wbs = Vec::new();
         for t in 0..wb.num_traces() {
             let miss_pct = |kind: ProtocolKind| -> (f64, f64) {
-                let mut protocol = build(kind, wb.n_caches());
-                let mut cfg = RunConfig::default().with_process_sharing();
-                if let Some(capacity) = cap {
-                    cfg = cfg.with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
-                }
+                let rates = |c: &EventCounters| {
+                    (c.pct(c.rm() + c.wm()), 1000.0 * c.cache_evictions() as f64 / c.total() as f64)
+                };
+                let Some(capacity) = cap else {
+                    return rates(&wb.counters(kind, t, TraceFilter::Full));
+                };
+                let cfg =
+                    infinite.with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
                 let records = wb.records(t, TraceFilter::Full);
-                let result = run(protocol.as_mut(), records.iter().copied(), &cfg)
+                let soa = wb.store().soa(t, TraceFilter::Full, cfg.geometry, cfg.sharing);
+                let result = run_soa(kind, wb.n_caches(), &records, &soa, &cfg, &mut NoopRecorder)
                     .expect("footnote2 replay");
-                let c = result.counters;
-                (c.pct(c.rm() + c.wm()), 1000.0 * c.cache_evictions() as f64 / c.total() as f64)
+                rates(&result.counters)
             };
             let (dir0b_miss, evictions) = miss_pct(ProtocolKind::Dir0B);
             // Dragon never invalidates: its miss rate is the native

@@ -56,16 +56,15 @@ use dircc_bus::{CostConfig, CostModel};
 use dircc_check::{check_protocol, CheckConfig};
 use dircc_core::ProtocolKind;
 use dircc_obs::{
-    chrome_trace, parse_exposition, samples_sum, window_jsonl_line, MetricsRegistry, RunMeta,
-    Sample,
+    chrome_trace, parse_exposition, samples_sum, window_jsonl_line, MetricsRegistry, NoopRecorder,
+    RunMeta, Sample,
 };
 use dircc_serve::{client, JobHandler, ServeConfig, Server};
 use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
-    run_chunked, run_indexed, run_response_json, run_sharded, run_sharded_spilled, shard_stream,
-    spill_sharded, Evaluation, ReplayEngine, RunConfig, RunResult, TraceFilter, Workbench,
-    WorkbenchHandler,
+    run_chunked, run_response_json, run_sharded, run_soa, run_spilled, shard_stream, spill_sharded,
+    Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -73,7 +72,7 @@ use dircc_trace::gen::{Generator, Profile};
 use dircc_trace::sharing::SharingProfile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::store::TraceStore;
-use dircc_trace::{open_trace, BlockInterner, ChunkedWriter, Records, TraceRecord};
+use dircc_trace::{open_trace, ChunkedWriter, Records, SoaStream, TraceRecord};
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -201,7 +200,6 @@ struct Args {
     chunk: Option<usize>,
     verify: bool,
     repeat: Option<u64>,
-    engine: Option<ReplayEngine>,
     json: bool,
     addr: Option<String>,
     workers: Option<usize>,
@@ -242,7 +240,6 @@ fn parse_args() -> Result<Args, String> {
         chunk: None,
         verify: false,
         repeat: None,
-        engine: None,
         json: false,
         addr: None,
         workers: None,
@@ -317,13 +314,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--repeat must be at least 1".to_string());
                 }
                 parsed.repeat = Some(n);
-            }
-            "--engine" => {
-                let label = value("--engine")?;
-                parsed.engine = Some(
-                    ReplayEngine::from_label(&label)
-                        .ok_or_else(|| format!("--engine must be dyn or mono, not {label}"))?,
-                );
             }
             "--json" => parsed.json = true,
             "--addr" => parsed.addr = Some(value("--addr")?),
@@ -462,12 +452,6 @@ fn validate_io(args: &Args) -> Result<(), String> {
     if args.repeat.is_some() && spec.name != "bench" {
         return Err(format!("--repeat only applies to bench, not {}", spec.name));
     }
-    if args.engine.is_some() && !matches!(spec.name, "bench" | "benchcmp" | "submit") {
-        return Err(format!(
-            "--engine only applies to bench, benchcmp and submit, not {}",
-            spec.name
-        ));
-    }
     if args.json && spec.name != "replay" {
         return Err(format!("--json only applies to replay, not {}", spec.name));
     }
@@ -545,7 +529,7 @@ fn usage() -> String {
     let mut lines = vec!["usage: dircc <command> [target] [--refs N] [--seed S] [--jobs N] \
          [--shards N] [--profile pops|thor|pero|custom] [--out FILE | --in FILE] [--smoke] \
          [--verbose] [--window K] [--spans FILE] [--cpus N] [--blocks M] [--depth D] \
-         [--scheme S] [--chunk N] [--verify] [--repeat N] [--engine dyn|mono] [--json] \
+         [--scheme S] [--chunk N] [--verify] [--repeat N] [--json] \
          [--addr HOST:PORT] [--workers N] [--cache-entries N] [--queue N] [--serve URL] \
          [--op run|series|health|metrics|spans|shutdown] [--filter full|no-spins] \
          [--expect-cache hit|miss] [--clients N] [--requests M] [--log-json] \
@@ -645,8 +629,9 @@ fn replay_kinds(args: &Args, cpus: usize) -> Result<Vec<ProtocolKind>, String> {
 /// Streams a trace file through every requested scheme. With one shard
 /// the file is re-read per scheme via [`run_chunked`] (memory bounded by
 /// the chunk size); with more, one pass spills per-shard sub-streams to
-/// temp files and [`run_sharded_spilled`] replays those, so even sharded
-/// replay never holds the whole trace in RAM.
+/// temp files and [`run_spilled`] replays those, so even sharded replay
+/// never holds the whole trace in RAM. The spill directory is removed on
+/// every path out, errors included.
 fn replay_file(
     path: &str,
     kinds: &[ProtocolKind],
@@ -659,28 +644,23 @@ fn replay_file(
         open_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
     };
     if shards <= 1 {
-        return kinds
-            .iter()
-            .map(|&kind| {
-                let mut source = open()?;
-                let mut p = dircc_core::build(kind, cpus);
-                run_chunked(p.as_mut(), &mut source, cfg)
-            })
-            .collect();
+        return kinds.iter().map(|&kind| run_chunked(kind, cpus, &mut open()?, cfg)).collect();
     }
     let dir = std::env::temp_dir().join(format!("dircc_replay_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let spilled = spill_sharded(&mut open()?, shards, cfg, &dir)
-        .map_err(|e| format!("spill to {}: {e}", dir.display()))?;
-    let results =
-        kinds.iter().map(|&kind| run_sharded_spilled(kind, cpus, &spilled, cfg)).collect();
-    drop(spilled); // removes the per-shard spill files
+    let results = (|| {
+        let spilled = spill_sharded(&mut open()?, shards, cfg, &dir)
+            .map_err(|e| format!("spill to {}: {e}", dir.display()))?;
+        // Dropping `spilled` on the way out removes the spill files.
+        kinds.iter().map(|&kind| run_spilled(kind, cpus, &spilled, cfg)).collect()
+    })();
     std::fs::remove_dir_all(&dir).ok();
     results
 }
 
-/// Replays the `--profile` trace fully in memory (the classic indexed
-/// path) — the reference `dircc replay --in` must match byte for byte.
+/// Replays the `--profile` trace fully in memory (the store's
+/// structure-of-arrays path) — the reference `dircc replay --in` must
+/// match byte for byte.
 fn replay_memory(
     args: &Args,
     kinds: &[ProtocolKind],
@@ -692,20 +672,18 @@ fn replay_memory(
         profile = profile.with_total_refs(n);
     }
     let records: Vec<TraceRecord> = Generator::new(profile, args.seed).collect();
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
+    let soa = SoaStream::intern(&records, cfg.geometry, cfg.sharing);
     if args.shards <= 1 {
         kinds
             .iter()
-            .map(|&kind| {
-                let mut p = dircc_core::build(kind, cpus);
-                run_indexed(p.as_mut(), &records, &dense, num_blocks, cfg)
-            })
+            .map(|&kind| run_soa(kind, cpus, &records, &soa, cfg, &mut NoopRecorder))
             .collect()
     } else {
-        let sharded = shard_stream(&records, &dense, num_blocks, args.shards, cfg);
-        kinds.iter().map(|&kind| run_sharded(kind, cpus, &sharded, cfg)).collect()
+        let sharded = shard_stream(&records, &soa, args.shards, cfg);
+        kinds
+            .iter()
+            .map(|&kind| run_sharded(kind, cpus, &records, &sharded, cfg, |_, _, _, _| ()))
+            .collect()
     }
 }
 
@@ -939,10 +917,9 @@ fn bench_profiles(args: &Args) -> Vec<Profile> {
 
 /// Counter digests of every bench-matrix run, keyed by the (scheme,
 /// trace, filter) labels the timing rows carry. Counters are memoized, so
-/// this replays nothing on a warmed workbench. The digest is
-/// engine-invariant (mono and dyn are bit-identical), which is exactly
-/// what lets `benchcmp` pin one engine's fresh counters against a
-/// baseline written by the other.
+/// this replays nothing on a warmed workbench. The digest is shard- and
+/// repeat-invariant, which is exactly what lets `benchcmp` pin fresh
+/// counters against a baseline written at any shard count.
 fn run_digests(wb: &Workbench) -> std::collections::HashMap<(String, String, String), u64> {
     let mut map = std::collections::HashMap::new();
     let names = wb.trace_names();
@@ -960,10 +937,10 @@ fn run_digests(wb: &Workbench) -> std::collections::HashMap<(String, String, Str
 /// (protocol, filter) x trace work list `dircc all` warms) `--repeat`
 /// times (default 3) and writes a machine-readable throughput report with
 /// the **median** wall per run. Every run row records the `--shards`
-/// count and `--engine` it replayed with plus the run's counter digest
-/// (counters are shard-, repeat- and engine-invariant; only wall-clock
-/// changes). Repeats share one trace store, so generation/interning is
-/// paid once while every repeat's replay starts from a cold run memo.
+/// count it replayed with plus the run's counter digest (counters are
+/// shard- and repeat-invariant; only wall-clock changes). Repeats share
+/// one trace store, so generation/interning is paid once while every
+/// repeat's replay starts from a cold run memo.
 /// Replay wall-clock sums CPU time across workers, so `--jobs 1` is the
 /// number to quote; with `--shards N` each run's wall is the outer replay
 /// span (shard threads overlap inside it). `--smoke` runs a tiny matrix
@@ -972,16 +949,13 @@ fn bench(args: &Args) -> Result<(), String> {
     if args.serve_url.is_some() {
         return bench_serve(args);
     }
-    let engine = args.engine.unwrap_or_default();
     let repeat = args.repeat.unwrap_or(3);
     let store = std::sync::Arc::new(TraceStore::new(bench_profiles(args), args.seed));
     let mut repeats: Vec<Vec<dircc_sim::RunTiming>> = Vec::new();
     let mut executed = 0usize;
     let mut warm_wb = None;
     for _ in 0..repeat {
-        let wb = Workbench::with_store(std::sync::Arc::clone(&store))
-            .with_shards(args.shards)
-            .with_engine(engine);
+        let wb = Workbench::with_store(std::sync::Arc::clone(&store)).with_shards(args.shards);
         executed = wb.warm(&wb.paper_workload(), args.jobs);
         repeats.push(wb.timings());
         warm_wb = Some(wb);
@@ -1022,13 +996,12 @@ fn bench(args: &Args) -> Result<(), String> {
         let _ = write!(
             json,
             "    {{\"scheme\": \"{}\", \"trace\": \"{}\", \"filter\": \"{}\", \
-             \"shards\": {}, \"engine\": \"{}\", \"digest\": \"{:016x}\", \"refs\": {}, \
-             \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}",
+             \"shards\": {}, \"digest\": \"{:016x}\", \"refs\": {}, \"wall_ms\": {:.3}, \
+             \"refs_per_sec\": {:.0}}}",
             t.scheme,
             t.trace,
             filter,
             args.shards,
-            engine.label(),
             digest,
             t.refs,
             t.wall.as_secs_f64() * 1e3,
@@ -1062,9 +1035,8 @@ fn bench(args: &Args) -> Result<(), String> {
         let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let mut source =
             open_trace(BufReader::new(file)).map_err(|e| format!("ingest open: {e}"))?;
-        let mut p = dircc_core::build(ProtocolKind::Dir0B, wb.n_caches());
         let cfg = RunConfig::default().with_process_sharing();
-        let res = run_chunked(p.as_mut(), &mut source, &cfg)
+        let res = run_chunked(ProtocolKind::Dir0B, wb.n_caches(), &mut source, &cfg)
             .map_err(|e| format!("ingest replay: {e}"))?;
         let ingest_wall = t0.elapsed();
         if res.refs != refs {
@@ -1085,11 +1057,10 @@ fn bench(args: &Args) -> Result<(), String> {
         if total_wall.is_zero() { 0.0 } else { total_refs as f64 / total_wall.as_secs_f64() };
     let _ = write!(
         json,
-        "  ],\n  \"totals\": {{\"runs\": {}, \"shards\": {}, \"engine\": \"{}\", \
-         \"repeat\": {}, \"refs\": {}, \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}\n}}\n",
+        "  ],\n  \"totals\": {{\"runs\": {}, \"shards\": {}, \"repeat\": {}, \"refs\": {}, \
+         \"wall_ms\": {:.3}, \"refs_per_sec\": {:.0}}}\n}}\n",
         executed,
         args.shards,
-        engine.label(),
         repeat,
         total_refs,
         total_wall.as_secs_f64() * 1e3,
@@ -1099,9 +1070,8 @@ fn bench(args: &Args) -> Result<(), String> {
     let path = args.out.clone().unwrap_or_else(|| "BENCH_replay.json".to_string());
     write_output(&path, &json)?;
     println!(
-        "bench: {executed} runs x {repeat} repeat(s), {} engine, {total_refs} refs, \
+        "bench: {executed} runs x {repeat} repeat(s), {total_refs} refs, \
          {:.1} ms median replay (cpu), {:.1}M refs/sec -> {path}",
-        engine.label(),
         total_wall.as_secs_f64() * 1e3,
         total_rps / 1e6
     );
@@ -1181,9 +1151,6 @@ fn submit_job_json(args: &Args) -> Result<String, String> {
     if args.shards > 1 {
         let _ = write!(body, ", \"shards\": {}", args.shards);
     }
-    if let Some(engine) = args.engine {
-        let _ = write!(body, ", \"engine\": \"{}\"", engine.label());
-    }
     if let Some(window) = args.window {
         let _ = write!(body, ", \"window\": {window}");
     }
@@ -1246,9 +1213,9 @@ fn submit_cmd(args: &Args) -> Result<(), String> {
 /// writes per-request latency percentiles to `BENCH_serve.json`.
 fn bench_serve(args: &Args) -> Result<(), String> {
     let url = args.serve_url.clone().expect("bench_serve called with --serve");
-    if args.repeat.is_some() || args.engine.is_some() || args.shards > 1 || args.smoke {
+    if args.repeat.is_some() || args.shards > 1 || args.smoke {
         return Err("bench --serve takes --clients/--requests/--refs/--seed; \
-             --repeat/--engine/--shards/--smoke configure the local replay bench"
+             --repeat/--shards/--smoke configure the local replay bench"
             .to_string());
     }
     let clients = args.clients.unwrap_or(8);
@@ -1568,26 +1535,23 @@ fn check(args: &Args) -> Result<(), String> {
 
 /// Replay-equivalence pass run after the model-check table: every checked
 /// scheme replays a short trace through the sharded engine (one protocol
-/// instance per shard via `split_shards`) and must reproduce the serial
-/// replay's counters, first-ref classification and verifier verdicts bit
-/// for bit. Uses `--shards` (at least 2, so the per-shard construction
-/// path is always exercised — including in `--smoke --scheme X` CI runs).
+/// instance per shard) and must reproduce the serial replay's counters,
+/// first-ref classification and verifier verdicts bit for bit. Uses
+/// `--shards` (at least 2, so the per-shard construction path is always
+/// exercised — including in `--smoke --scheme X` CI runs).
 fn shard_check(kinds: &[ProtocolKind], args: &Args) -> Result<(), String> {
     let shards = args.shards.max(2);
     let total_refs = if args.smoke { 5_000 } else { 20_000 };
     let records: Vec<dircc_trace::TraceRecord> =
         Generator::new(Profile::pops().with_total_refs(total_refs), args.seed).collect();
     let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
-    let interner = dircc_trace::BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
-    let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
+    let soa = SoaStream::intern(&records, cfg.geometry, cfg.sharing);
+    let sharded = shard_stream(&records, &soa, shards, &cfg);
     let n_caches = usize::from(Profile::pops().cpus);
     for &kind in kinds {
-        let mut p = dircc_core::build_sized(kind, n_caches, num_blocks);
-        let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg)
+        let serial = run_soa(kind, n_caches, &records, &soa, &cfg, &mut NoopRecorder)
             .map_err(|e| format!("shard check: {kind}: serial replay failed: {e}"))?;
-        let split = run_sharded(kind, n_caches, &sharded, &cfg)
+        let split = run_sharded(kind, n_caches, &records, &sharded, &cfg, |_, _, _, _| ())
             .map_err(|e| format!("shard check: {kind}: sharded replay failed: {e}"))?;
         if serial.counters != split.counters
             || serial.refs != split.refs
@@ -1615,8 +1579,6 @@ struct BenchRun {
     /// `None` when the report predates the `shards` schema field.
     shards: Option<u64>,
     /// `None` when the report predates the monomorphized-replay schema.
-    /// Deliberately **excluded** from the comparison key: digests are
-    /// engine-invariant, so one baseline gates both engines.
     digest: Option<String>,
     refs: u64,
     wall_ms: f64,
@@ -1813,15 +1775,14 @@ fn profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `dircc benchcmp`: re-runs the bench matrix (on `--engine`, default
-/// mono) and compares the deterministic per-run fields (scheme, trace,
-/// filter, shards, refs, counter digest) against a baseline report
-/// (`--in`, default `BENCH_smoke.json` with `--smoke`, else
-/// `BENCH_replay.json`). Runs are matched by sorted key — a bench report
-/// lists runs in completion order, which varies with `--jobs`. The
-/// baseline's engine is ignored: digests are engine-invariant, so one
-/// baseline gates both engines (the mono-vs-dyn bit-identity check CI
-/// leans on). A baseline whose schema predates the `shards` or `digest`
+/// `dircc benchcmp`: re-runs the bench matrix and compares the
+/// deterministic per-run fields (scheme, trace, filter, shards, refs,
+/// counter digest) against a baseline report (`--in`, default
+/// `BENCH_smoke.json` with `--smoke`, else `BENCH_replay.json`). Runs are
+/// matched by sorted key — a bench report lists runs in completion order,
+/// which varies with `--jobs`. Fields the comparison does not read (such
+/// as the `engine` label older reports carry) are ignored. A baseline
+/// whose schema predates the `shards` or `digest`
 /// field is rejected with a pointer to regenerate it. Any drift fails the
 /// process; wall-clock changes are reported but never fatal.
 fn benchcmp(args: &Args) -> Result<(), String> {
@@ -1866,8 +1827,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         (None, true) => Workbench::paper_scaled(20_000, args.seed),
         (None, false) => Workbench::paper(args.seed),
     }
-    .with_shards(args.shards)
-    .with_engine(args.engine.unwrap_or_default());
+    .with_shards(args.shards);
     wb.warm(&wb.paper_workload(), args.jobs);
     let timings = wb.timings();
     let digests = run_digests(&wb);
@@ -1876,9 +1836,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
     if timings.len() != baseline.len() {
         drift.push(format!("run count: baseline {}, fresh {}", baseline.len(), timings.len()));
     }
-    // The comparison key carries the counter digest but not the engine:
-    // mono and dyn are bit-identical, so a baseline written by either
-    // engine gates both.
+    // The comparison key carries the counter digest.
     let mut base_keys: Vec<(String, String, String, u64, u64, String)> = baseline
         .iter()
         .map(|b| {

@@ -28,12 +28,15 @@
 //! one `replay-shard` span per shard (shard-id tagged) nested under the
 //! run's `replay` span; windowed runs pin shards to 1 (a window is a
 //! slice of the global reference stream).
+//!
+//! Every run replays the store's memoized structure-of-arrays stream (or
+//! its memoized sharded partition) through the engine's monomorphized
+//! core: [`run_soa`] serially, [`run_sharded`] across shards.
 
-use crate::engine::{run_indexed, run_indexed_with, RunConfig};
+use crate::engine::{run_sharded, run_soa, RunConfig};
 use crate::metrics::Evaluation;
-use crate::mono::{run_indexed_mono, run_indexed_mono_with, run_sharded_mono_with};
-use dircc_core::{build_sized, EventCounters, ProtocolKind};
-use dircc_obs::{RunMeta, SpanLog, WindowSample, WindowedRecorder};
+use dircc_core::{EventCounters, ProtocolKind};
+use dircc_obs::{NoopRecorder, RunMeta, SpanLog, WindowSample, WindowedRecorder};
 use dircc_trace::gen::Profile;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::store::TraceStore;
@@ -49,44 +52,6 @@ struct MemoKey {
     kind: ProtocolKind,
     trace: usize,
     filter: TraceFilter,
-}
-
-/// Which replay loop [`Workbench::counters`] drives.
-///
-/// Both engines produce **bit-identical** counters for every scheme,
-/// trace, filter and shard count (pinned by the `mono` test suite and the
-/// `benchcmp` digest gate); they differ only in speed. [`Mono`] is the
-/// default.
-///
-/// [`Mono`]: ReplayEngine::Mono
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplayEngine {
-    /// The reference path: `Box<dyn Protocol>` replaying the AoS record
-    /// stream through [`crate::engine`], one vtable call per reference.
-    Dyn,
-    /// The fast path: a per-scheme monomorphized loop over the store's
-    /// memoized structure-of-arrays stream ([`crate::mono`]).
-    #[default]
-    Mono,
-}
-
-impl ReplayEngine {
-    /// The label this engine carries in bench reports and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplayEngine::Dyn => "dyn",
-            ReplayEngine::Mono => "mono",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "dyn" => Some(ReplayEngine::Dyn),
-            "mono" => Some(ReplayEngine::Mono),
-            _ => None,
-        }
-    }
 }
 
 /// The stable label a [`TraceFilter`] carries in reports, span metadata
@@ -163,7 +128,6 @@ pub struct Workbench {
     spans: SpanLog,
     window: Option<u64>,
     shards: usize,
-    engine: ReplayEngine,
     series: Mutex<Vec<RunSeries>>,
 }
 
@@ -210,7 +174,6 @@ impl Workbench {
             spans: SpanLog::new(),
             window: None,
             shards: 1,
-            engine: ReplayEngine::default(),
             series: Mutex::new(Vec::new()),
         }
     }
@@ -232,7 +195,7 @@ impl Workbench {
     }
 
     /// Splits every subsequently executed replay into `shards` block
-    /// shards replayed on worker threads ([`crate::engine::run_sharded_with`]),
+    /// shards replayed on worker threads ([`run_sharded`]),
     /// with per-shard `replay-shard` spans in the log. Counters are
     /// **bit-identical** to the unsharded replay (pinned by tests); only
     /// wall-clock changes.
@@ -254,18 +217,6 @@ impl Workbench {
     /// The shard count replays use (1 = serial replay).
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Selects the replay engine for subsequently executed runs. Counters
-    /// are bit-identical across engines; only wall-clock changes.
-    pub fn with_engine(mut self, engine: ReplayEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The replay engine runs use ([`ReplayEngine::Mono`] by default).
-    pub fn engine(&self) -> ReplayEngine {
-        self.engine
     }
 
     /// Number of caches (= CPUs) in the simulated machine.
@@ -365,62 +316,18 @@ impl Workbench {
                 .time("generate", Some(meta(0)), || self.store.records(trace, TraceFilter::Full));
             let records =
                 self.spans.time("filter", Some(meta(0)), || self.store.records(trace, filter));
-            // Dense replay: the store's interner renames blocks to dense
-            // u32 ids once per trace; the replay loop then runs with zero
-            // hashing and every per-block table pre-sized. Bit-identical
-            // to un-interned replay (renaming is a bijection; pinned by
-            // the engine's equality tests). The mono engine additionally
-            // pulls the memoized structure-of-arrays split here — SoA
-            // construction is intern-phase work, so replay spans compare
-            // replay work only across engines.
-            let mono = self.engine == ReplayEngine::Mono;
+            // The store interns each trace once and memoizes the
+            // structure-of-arrays split (and, sharded, its partition), so
+            // the replay span below measures replay work only.
+            let n = self.n_caches();
             let sharding = self.shards > 1 && self.window.is_none();
-            let (dense, num_blocks, soa) = self.spans.time("intern", Some(meta(0)), || {
-                let dense = self.store.dense_blocks(trace, filter, cfg.geometry);
-                let num_blocks = self.store.interner(trace, cfg.geometry).num_blocks();
-                let soa = (mono && !sharding)
-                    .then(|| self.store.soa(trace, filter, cfg.geometry, cfg.sharing));
-                (dense, num_blocks, soa)
-            });
-            // Sharded replay reuses the store's memoized partition (same
-            // mod router as the engine's infinite-cache `shard_stream`),
-            // built before the replay span so throughput numbers compare
-            // replay work only.
-            let sharded =
-                sharding.then(|| self.store.sharded(trace, filter, cfg.geometry, self.shards));
-            let sharded_soa = (mono && sharding).then(|| {
-                self.store.sharded_soa(trace, filter, cfg.geometry, self.shards, cfg.sharing)
-            });
-            let timer = self.spans.start();
-            let result = if let Some(window) = self.window {
-                let mut recorder = WindowedRecorder::new(window);
-                let result = if let Some(soa) = &soa {
-                    run_indexed_mono_with(kind, self.n_caches(), &records, soa, &cfg, &mut recorder)
-                        .expect("trace replay failed")
-                } else {
-                    let mut protocol = build_sized(kind, self.n_caches(), num_blocks);
-                    run_indexed_with(
-                        protocol.as_mut(),
-                        &records,
-                        &dense,
-                        num_blocks,
-                        &cfg,
-                        &mut recorder,
-                    )
-                    .expect("trace replay failed")
-                };
-                self.series.lock().expect("series poisoned").push(RunSeries {
-                    kind,
-                    scheme: scheme.clone(),
-                    trace,
-                    trace_name: trace_name.clone(),
-                    filter,
-                    refs: result.refs,
-                    windows: recorder.into_samples(),
+            let timer;
+            let result = if sharding {
+                let sharded = self.spans.time("intern", Some(meta(0)), || {
+                    self.store.sharded_soa(trace, filter, cfg.geometry, self.shards, cfg.sharing)
                 });
-                result
-            } else if let Some(sharded) = &sharded {
-                let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs: u64| {
+                timer = self.spans.start();
+                let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs| {
                     self.spans.record_at(
                         "replay-shard",
                         at,
@@ -428,23 +335,33 @@ impl Workbench {
                         Some(RunMeta { shard: Some(shard), ..meta(refs) }),
                     );
                 };
-                if let Some(soa) = &sharded_soa {
-                    run_sharded_mono_with(kind, self.n_caches(), sharded, soa, &cfg, observe)
-                        .expect("trace replay failed")
-                } else {
-                    let protocols =
-                        dircc_core::split_shards(kind, self.n_caches(), &sharded.shard_blocks());
-                    crate::engine::run_sharded_with(protocols, sharded, &cfg, observe)
-                        .expect("trace replay failed")
-                }
-            } else if let Some(soa) = &soa {
-                run_indexed_mono(kind, self.n_caches(), &records, soa, &cfg)
-                    .expect("trace replay failed")
+                run_sharded(kind, n, &records, &sharded, &cfg, observe)
             } else {
-                let mut protocol = build_sized(kind, self.n_caches(), num_blocks);
-                run_indexed(protocol.as_mut(), &records, &dense, num_blocks, &cfg)
-                    .expect("trace replay failed")
-            };
+                let soa = self.spans.time("intern", Some(meta(0)), || {
+                    self.store.soa(trace, filter, cfg.geometry, cfg.sharing)
+                });
+                timer = self.spans.start();
+                match self.window {
+                    None => run_soa(kind, n, &records, &soa, &cfg, &mut NoopRecorder),
+                    Some(window) => {
+                        let mut recorder = WindowedRecorder::new(window);
+                        let result = run_soa(kind, n, &records, &soa, &cfg, &mut recorder);
+                        if let Ok(res) = &result {
+                            self.series.lock().expect("series poisoned").push(RunSeries {
+                                kind,
+                                scheme: scheme.clone(),
+                                trace,
+                                trace_name: trace_name.clone(),
+                                filter,
+                                refs: res.refs,
+                                windows: recorder.into_samples(),
+                            });
+                        }
+                        result
+                    }
+                }
+            }
+            .expect("trace replay failed");
             self.spans.finish(timer, "replay", Some(meta(result.refs)));
             Arc::new(result.counters)
         })

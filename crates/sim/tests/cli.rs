@@ -780,6 +780,41 @@ fn replay_rejects_truncated_and_missing_traces() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A failed sharded file replay leaves nothing behind in the temp
+/// directory: neither spill files nor the spill directory itself.
+#[test]
+fn failed_sharded_replay_cleans_up_its_spill_directory() {
+    let dir = std::env::temp_dir().join(format!("dircc_replay_cleanup_{}", std::process::id()));
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let path = dir.join("cut.dcct");
+    let path_s = path.to_str().unwrap();
+    let out =
+        dircc().args(["record", "--refs", "5000", "--out", path_s]).output().expect("run record");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 40]).unwrap();
+
+    let out = dircc()
+        .args(["replay", "--in", path_s, "--shards", "2"])
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("run replay");
+    assert!(!out.status.success(), "truncated trace must fail");
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(left.is_empty(), "replay left {left:?} in TMPDIR");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// There is one replay engine, so `--engine` is an unknown flag.
+#[test]
+fn bench_rejects_the_engine_flag() {
+    let out = dircc().args(["bench", "--engine", "mono"]).output().expect("run dircc");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --engine"));
+}
+
 /// `replay` also streams the flat v1 format (auto-detected), and the v1
 /// reader points v2 files at `dircc replay --in`.
 #[test]

@@ -1,9 +1,12 @@
-//! Pins the tentpole invariant of the dense-replay rewrite: interned
-//! (dense-id) replay is bit-identical to on-the-fly replay for every
-//! paper workload, protocol family, filter and cache model.
+//! Pins the dense-replay invariant: replay of the store's memoized
+//! stream (interned once per trace, over the *full* stream even for
+//! filtered runs) is bit-identical to replay that interns on the fly
+//! (the record iterator `run`), for every paper workload, protocol
+//! family, filter and cache model.
 
-use dircc_core::{build, build_sized, ProtocolKind};
-use dircc_sim::engine::{run, run_indexed, RunConfig};
+use dircc_core::{build, ProtocolKind};
+use dircc_obs::NoopRecorder;
+use dircc_sim::engine::{run, run_soa, RunConfig};
 use dircc_sim::{TraceFilter, Workbench};
 use dircc_trace::gen::Profile;
 
@@ -25,13 +28,11 @@ fn indexed_replay_matches_streaming_replay_on_all_workloads() {
     for trace in 0..wb.num_traces() {
         for filter in TraceFilter::ALL {
             let records = store.records(trace, filter);
-            let dense = store.dense_blocks(trace, filter, cfg.geometry);
-            let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
+            let soa = store.soa(trace, filter, cfg.geometry, cfg.sharing);
             for &kind in KINDS {
                 let mut raw = build(kind, wb.n_caches());
                 let a = run(raw.as_mut(), records.iter().copied(), &cfg).expect("streaming run");
-                let mut idx = build_sized(kind, wb.n_caches(), num_blocks);
-                let b = run_indexed(idx.as_mut(), &records, &dense, num_blocks, &cfg)
+                let b = run_soa(kind, wb.n_caches(), &records, &soa, &cfg, &mut NoopRecorder)
                     .expect("indexed run");
                 assert_eq!(
                     a.counters, b.counters,
@@ -57,13 +58,12 @@ fn indexed_replay_matches_with_finite_caches_and_verifier() {
             .with_finite_caches(FiniteCacheConfig::new(64, 2))
     };
     let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
     for &kind in KINDS {
         let mut raw = build(kind, wb.n_caches());
         let a = run(raw.as_mut(), records.iter().copied(), &cfg).expect("streaming run");
-        let mut idx = build_sized(kind, wb.n_caches(), num_blocks);
-        let b = run_indexed(idx.as_mut(), &records, &dense, num_blocks, &cfg).expect("indexed run");
+        let b = run_soa(kind, wb.n_caches(), &records, &soa, &cfg, &mut NoopRecorder)
+            .expect("indexed run");
         assert_eq!(a.counters, b.counters, "{kind}: finite-cache dense replay diverged");
         assert!(a.violations.is_empty(), "{kind}: {:?}", a.violations);
         assert!(b.violations.is_empty(), "{kind}: {:?}", b.violations);
@@ -71,16 +71,18 @@ fn indexed_replay_matches_with_finite_caches_and_verifier() {
     }
 }
 
+/// A dense-id stream replayed against records it was not built from is
+/// rejected up front, naming both lengths.
 #[test]
 fn misaligned_dense_stream_is_an_error() {
     let wb = Workbench::paper_scaled(1_000, 1);
     let store = wb.store();
     let cfg = RunConfig::default().with_process_sharing();
     let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let mut p = build(ProtocolKind::Dir0B, wb.n_caches());
-    let err = run_indexed(p.as_mut(), &records, &dense[1..], 10, &cfg).unwrap_err();
-    assert!(err.contains("dense-id stream"), "{err}");
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+    let err =
+        run_soa(ProtocolKind::Dir0B, 4, &records[1..], &soa, &cfg, &mut NoopRecorder).unwrap_err();
+    assert_eq!(err, "soa stream has 1000 entries for 999 records; rebuild it from the same stream");
 }
 
 #[test]
@@ -95,7 +97,9 @@ fn out_of_range_cache_error_reports_the_record() {
     )];
     let mut p = build(ProtocolKind::Dir0B, 4);
     let err = run(p.as_mut(), trace, &RunConfig::default()).unwrap_err();
-    for needle in ["cpu7", "pid9", "Write", "0x1230", "4 caches"] {
-        assert!(err.contains(needle), "error {err:?} must mention {needle:?}");
-    }
+    assert_eq!(
+        err,
+        "reference 1: cache index 7 out of range for 4 caches (cpu7, pid9, Write at 0x1230; \
+         did you size the protocol for the sharing model?)"
+    );
 }

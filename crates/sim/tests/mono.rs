@@ -1,26 +1,31 @@
-//! Bit-identity of the monomorphized SoA replay against the dyn engine.
+//! The monomorphized replay core against its `dyn Protocol` instantiation
+//! and the reference oracle.
 //!
-//! The tentpole guarantee of the mono fast path: for every scheme, trace,
-//! filter, geometry, sharing model and shard count, `run_indexed_mono` /
-//! `run_sharded_mono` produce **bit-identical** results to the reference
-//! `run_indexed` / `run_sharded` — same [`EventCounters`], same verifier
-//! verdicts, same error text, same windowed deltas. The SoA arrays
-//! themselves are pinned against an independent AoS-derived recomputation
-//! first, so a precompute bug cannot hide behind a matching replay bug.
+//! The engine has one core. The kind-based adapters (`run_soa`,
+//! `run_sharded`) instantiate it per concrete scheme over the store's
+//! memoized structure-of-arrays stream; the record iterator `run`
+//! instantiates it with `P = dyn Protocol` behind a caller-built
+//! `Box<dyn Protocol>`. For every scheme, trace, filter, geometry,
+//! sharing model and shard count both must give **bit-identical**
+//! results — same [`EventCounters`], same verifier verdicts, same error
+//! text, same windowed deltas — and the windowed deltas must match the
+//! naive oracle in `tests/oracle`. The SoA arrays themselves are pinned
+//! against an independent AoS-derived recomputation first, so a
+//! precompute bug cannot hide behind a matching replay bug.
+
+mod oracle;
 
 use dircc_cache::FiniteCacheConfig;
-use dircc_core::{build_sized, ProtocolKind};
-use dircc_obs::WindowedRecorder;
-use dircc_sim::engine::run_indexed_with;
-use dircc_sim::mono::run_indexed_mono_with;
+use dircc_core::{build, ProtocolKind};
+use dircc_obs::{NoopRecorder, WindowedRecorder};
 use dircc_sim::{
-    run_indexed, run_indexed_mono, run_sharded, run_sharded_mono, shard_stream, ReplayEngine,
-    RunConfig, SharingModel, TraceFilter, Workbench,
+    run, run_chunked, run_sharded, run_soa, shard_stream, RunConfig, SharingModel, TraceFilter,
+    Workbench,
 };
 use dircc_trace::gen::Profile;
 use dircc_trace::soa::{soa_reference_values, SoaStream};
 use dircc_trace::store::TraceStore;
-use dircc_trace::{ShardedSoa, TraceRecord};
+use dircc_trace::{SliceChunks, TraceRecord};
 use dircc_types::BlockGeometry;
 use std::sync::Arc;
 
@@ -57,6 +62,7 @@ fn soa_streams_match_aos_derivation_across_the_matrix() {
     for trace in 0..store.num_traces() {
         for filter in TraceFilter::ALL {
             for geometry in [BlockGeometry::PAPER, BlockGeometry::new(5)] {
+                let interner = store.interner(trace, geometry);
                 for sharing in [SharingModel::Processor, SharingModel::Process] {
                     let records = store.records(trace, filter);
                     let soa = store.soa(trace, filter, geometry, sharing);
@@ -67,10 +73,10 @@ fn soa_streams_match_aos_derivation_across_the_matrix() {
                     assert_eq!(soa.first_ref, first_ref, "{label}: first-ref bits");
                     let kinds: Vec<_> = records.iter().map(|r| r.kind).collect();
                     assert_eq!(soa.kind, kinds, "{label}: kinds");
-                    let dense = store.dense_blocks(trace, filter, geometry);
                     for (j, r) in records.iter().enumerate() {
                         if r.is_data() {
-                            assert_eq!(soa.block_id[j], dense[j], "{label}: block id at {j}");
+                            let id = interner.get(geometry.block_of(r.addr)).unwrap();
+                            assert_eq!(soa.block_id[j], id.raw(), "{label}: block id at {j}");
                         }
                     }
                     assert_eq!(
@@ -90,41 +96,36 @@ fn soa_streams_match_aos_derivation_across_the_matrix() {
     }
 }
 
-/// Serial and sharded mono replay vs the dyn reference, full result
-/// compared (counters, refs, verifier verdicts) — every scheme, every
-/// trace, shards ∈ {1, 2, 8}, verifier on.
+/// Serial and sharded monomorphized replay vs the `dyn Protocol`
+/// instantiation, full result compared (counters, refs, verifier
+/// verdicts) — every scheme, every trace, shards ∈ {1, 2, 8}, verifier on.
 #[test]
 fn mono_replay_is_bit_identical_to_dyn_for_every_scheme() {
     let store = store();
     let cfg = RunConfig { verify: true, ..RunConfig::default().with_process_sharing() };
     for trace in 0..store.num_traces() {
         let records = store.records(trace, TraceFilter::Full);
-        let dense = store.dense_blocks(trace, TraceFilter::Full, cfg.geometry);
-        let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
         let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
         for kind in KINDS {
-            let mut p = build_sized(kind, CPUS, num_blocks);
-            let dy = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
-            let mo = run_indexed_mono(kind, CPUS, &records, &soa, &cfg).unwrap();
+            let dy = run(build(kind, CPUS).as_mut(), records.iter().copied(), &cfg).unwrap();
+            let mo = run_soa(kind, CPUS, &records, &soa, &cfg, &mut NoopRecorder).unwrap();
             assert_eq!(dy.counters, mo.counters, "{kind} trace {trace} serial counters");
             assert_eq!(dy.refs, mo.refs, "{kind} trace {trace} serial refs");
             assert_eq!(dy.violations, mo.violations, "{kind} trace {trace} serial verdicts");
             for shards in [1usize, 2, 8] {
-                let sharded = store.sharded(trace, TraceFilter::Full, cfg.geometry, shards);
                 let ssoa =
                     store.sharded_soa(trace, TraceFilter::Full, cfg.geometry, shards, cfg.sharing);
-                let ds = run_sharded(kind, CPUS, &sharded, &cfg).unwrap();
-                let ms = run_sharded_mono(kind, CPUS, &sharded, &ssoa, &cfg).unwrap();
-                assert_eq!(ds.counters, ms.counters, "{kind} trace {trace} @{shards} counters");
-                assert_eq!(ds.violations, ms.violations, "{kind} trace {trace} @{shards} verdicts");
-                assert_eq!(dy.counters, ms.counters, "{kind} trace {trace} @{shards} vs serial");
+                let ms = run_sharded(kind, CPUS, &records, &ssoa, &cfg, |_, _, _, _| ()).unwrap();
+                assert_eq!(dy.counters, ms.counters, "{kind} trace {trace} @{shards} counters");
+                assert_eq!(dy.violations, ms.violations, "{kind} trace {trace} @{shards} verdicts");
             }
         }
     }
 }
 
-/// Finite caches route mono through the full loop: eviction order,
-/// write-back traffic and verifier verdicts must match the dyn engine.
+/// Finite caches route every instantiation through the instrumented
+/// loop: eviction order, write-back traffic and verifier verdicts must
+/// match between the monomorphized and the `dyn Protocol` core.
 #[test]
 fn finite_cache_mono_matches_dyn() {
     let store = store();
@@ -137,56 +138,74 @@ fn finite_cache_mono_matches_dyn() {
     for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
         for trace in 0..store.num_traces() {
             let records = store.records(trace, TraceFilter::Full);
-            let dense = store.dense_blocks(trace, TraceFilter::Full, cfg.geometry);
-            let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
             let soa = store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
-            let mut p = build_sized(kind, CPUS, num_blocks);
-            let dy = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
-            let mo = run_indexed_mono(kind, CPUS, &records, &soa, &cfg).unwrap();
+            let dy = run(build(kind, CPUS).as_mut(), records.iter().copied(), &cfg).unwrap();
+            let mo = run_soa(kind, CPUS, &records, &soa, &cfg, &mut NoopRecorder).unwrap();
             assert_eq!(dy.counters, mo.counters, "{kind} trace {trace} finite counters");
             assert_eq!(dy.violations, mo.violations, "{kind} trace {trace} finite verdicts");
+            assert!(mo.counters.cache_evictions() > 0, "{kind} trace {trace}: must evict");
         }
     }
 }
 
-/// A windowed mono replay produces the same window deltas as the dyn one
-/// (the recorder sees identical cumulative counters after every ref).
+/// A windowed replay's deltas equal the oracle's cumulative counters
+/// differenced at the same window boundaries, sample for sample.
 #[test]
-fn windowed_mono_matches_dyn_sample_for_sample() {
+fn windowed_replay_matches_the_oracle_sample_for_sample() {
     let store = store();
-    let cfg = RunConfig::default().with_process_sharing();
-    let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
-    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
-    for kind in [ProtocolKind::Dir0B, ProtocolKind::Dragon] {
-        let mut dy_rec = WindowedRecorder::new(700);
-        let mut p = build_sized(kind, CPUS, num_blocks);
-        let dy =
-            run_indexed_with(p.as_mut(), &records, &dense, num_blocks, &cfg, &mut dy_rec).unwrap();
-        let mut mo_rec = WindowedRecorder::new(700);
-        let mo = run_indexed_mono_with(kind, CPUS, &records, &soa, &cfg, &mut mo_rec).unwrap();
-        assert_eq!(dy.counters, mo.counters, "{kind} windowed counters");
-        assert_eq!(dy_rec.into_samples(), mo_rec.into_samples(), "{kind} window deltas");
+    let window = 700u64;
+    for cfg in [
+        RunConfig::default().with_process_sharing(),
+        RunConfig::default()
+            .with_process_sharing()
+            .with_finite_caches(FiniteCacheConfig::new(8, 2)),
+    ] {
+        let records = store.records(0, TraceFilter::Full);
+        let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+        for kind in [ProtocolKind::Dir0B, ProtocolKind::Dragon] {
+            let mut rec = WindowedRecorder::new(window);
+            let res = run_soa(kind, CPUS, &records, &soa, &cfg, &mut rec).unwrap();
+            let mut boundaries = Vec::new();
+            let last = records.len() as u64;
+            let want =
+                oracle::replay_observed(build(kind, CPUS).as_mut(), &records, &cfg, |n, c| {
+                    if n % window == 0 || n == last {
+                        boundaries.push((n, c.clone()));
+                    }
+                });
+            assert_eq!(res.counters, want, "{kind} counters");
+            let samples = rec.into_samples();
+            assert_eq!(samples.len(), boundaries.len(), "{kind} window count");
+            let mut prev = (0u64, dircc_core::EventCounters::new());
+            for (s, (end, cum)) in samples.iter().zip(&boundaries) {
+                assert_eq!((s.start_ref, s.end_ref), (prev.0, *end), "{kind} window bounds");
+                assert_eq!(s.counters, cum.diff(&prev.1), "{kind} window {} delta", s.index);
+                prev = (*end, cum.clone());
+            }
+        }
     }
 }
 
-/// An undersized protocol fails with byte-identical error text on both
-/// engines (the SoA loop reads the AoS record back for diagnostics).
+/// An undersized protocol fails with one literal error text on every
+/// adapter: the core reads the original record back for the message.
 #[test]
-fn bounds_error_text_is_identical_across_engines() {
+fn bounds_error_text_is_pinned() {
     let store = store();
     let cfg = RunConfig::default().with_process_sharing();
     let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
     let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
+    let want = "reference 4: cache index 2 out of range for 2 caches (cpu2, pid2, Read at \
+                0x40000000; did you size the protocol for the sharing model?)";
     let kind = ProtocolKind::Dir0B;
-    let mut p = build_sized(kind, 2, num_blocks);
-    let dy = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap_err();
-    let mo = run_indexed_mono(kind, 2, &records, &soa, &cfg).unwrap_err();
-    assert_eq!(dy, mo, "undersized-protocol error text diverged");
-    assert!(dy.contains("out of range for 2 caches"), "unexpected error: {dy}");
+    let sharded = shard_stream(&records, &soa, 3, &cfg);
+    for (adapter, got) in [
+        ("run", run(build(kind, 2).as_mut(), records.iter().copied(), &cfg)),
+        ("run_soa", run_soa(kind, 2, &records, &soa, &cfg, &mut NoopRecorder)),
+        ("run_sharded", run_sharded(kind, 2, &records, &sharded, &cfg, |_, _, _, _| ())),
+        ("run_chunked", run_chunked(kind, 2, &mut SliceChunks::new(&records[..], 3), &cfg)),
+    ] {
+        assert_eq!(got.unwrap_err(), want, "{adapter}");
+    }
 }
 
 /// Misaligned or wrong-sharing SoA streams are rejected up front.
@@ -194,76 +213,55 @@ fn bounds_error_text_is_identical_across_engines() {
 fn mismatched_soa_streams_are_rejected() {
     let records: Vec<TraceRecord> = Vec::new();
     let empty = SoaStream::build(&[], &[], 0, SharingModel::Process);
-    let cfg = RunConfig::default();
-    // Sharing mismatch: cfg defaults to Processor, stream is Process.
-    let err = run_indexed_mono(ProtocolKind::Wti, CPUS, &records, &empty, &cfg).unwrap_err();
-    assert!(err.contains("sharing"), "unexpected error: {err}");
+    // Sharing mismatch: the default config uses Processor sharing.
+    let err = run_soa(
+        ProtocolKind::Wti,
+        CPUS,
+        &records,
+        &empty,
+        &RunConfig::default(),
+        &mut NoopRecorder,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        "soa stream was built under Process sharing but the run uses Processor; rebuild it \
+         for this sharing model"
+    );
     // Length mismatch.
     let store = store();
     let recs = store.records(0, TraceFilter::Full);
-    let err = run_indexed_mono(
-        ProtocolKind::Wti,
-        CPUS,
-        &recs,
-        &empty,
-        &RunConfig::default().with_process_sharing(),
-    )
-    .unwrap_err();
-    assert!(err.contains("rebuild it from the same stream"), "unexpected error: {err}");
-    // Shard-count mismatch.
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
-    let sharded = shard_stream(&recs, &dense, num_blocks, 4, &cfg);
-    let ssoa = ShardedSoa::build(
-        &shard_stream(&recs, &dense, num_blocks, 2, &cfg),
-        SharingModel::Processor,
-    );
-    let err = run_sharded_mono(ProtocolKind::Wti, CPUS, &sharded, &ssoa, &cfg).unwrap_err();
-    assert!(err.contains("shard"), "unexpected error: {err}");
+    let cfg = RunConfig::default().with_process_sharing();
+    let err = run_soa(ProtocolKind::Wti, CPUS, &recs, &empty, &cfg, &mut NoopRecorder).unwrap_err();
+    assert_eq!(err, "soa stream has 0 entries for 6000 records; rebuild it from the same stream");
+    // A partition of another stream.
+    let sharded = store.sharded_soa(1, TraceFilter::ExcludeLockSpins, cfg.geometry, 2, cfg.sharing);
+    let err =
+        run_sharded(ProtocolKind::Wti, CPUS, &recs, &sharded, &cfg, |_, _, _, _| ()).unwrap_err();
+    assert!(err.starts_with("sharded stream has "), "unexpected error: {err}");
+    assert!(err.ends_with(" entries for 6000 records; rebuild it from the same stream"), "{err}");
 }
 
-/// The workbench produces identical counters under both engines, and two
-/// workbenches sharing one store generate each trace only once.
+/// The workbench's memoized runs, serial and sharded, reproduce the
+/// oracle; workbenches sharing one store generate each trace only once.
 #[test]
-fn workbench_engines_agree_and_share_the_store() {
+fn workbench_matches_the_oracle_and_shares_the_store() {
     let profiles: Vec<Profile> =
         Profile::paper_suite().into_iter().map(|p| p.with_total_refs(6_000)).collect();
     let store = Arc::new(TraceStore::new(profiles, 9));
-    let dy = Workbench::with_store(Arc::clone(&store)).with_engine(ReplayEngine::Dyn);
-    let mo = Workbench::with_store(Arc::clone(&store));
-    assert_eq!(mo.engine(), ReplayEngine::Mono, "mono is the default engine");
+    let serial = Workbench::with_store(Arc::clone(&store));
+    let sharded = Workbench::with_store(Arc::clone(&store)).with_shards(4);
+    let cfg = RunConfig::default().with_process_sharing();
     for kind in [ProtocolKind::DirNb { pointers: 1 }, ProtocolKind::Dragon, ProtocolKind::Tang] {
-        for trace in 0..dy.num_traces() {
+        for trace in 0..serial.num_traces() {
             for filter in TraceFilter::ALL {
-                assert_eq!(
-                    *dy.counters(kind, trace, filter),
-                    *mo.counters(kind, trace, filter),
-                    "{kind} trace {trace} {filter:?} diverged across engines"
-                );
+                let records = store.records(trace, filter);
+                let want = oracle::replay(build(kind, CPUS).as_mut(), &records, &cfg);
+                let label = format!("{kind} trace {trace} {filter:?}");
+                assert_eq!(*serial.counters(kind, trace, filter), want, "{label} serial");
+                assert_eq!(*sharded.counters(kind, trace, filter), want, "{label} sharded");
             }
         }
     }
     assert_eq!(store.generations(), store.num_traces() as u64, "each trace generated once");
-
-    // Sharded workbenches agree across engines too.
-    let dy4 =
-        Workbench::with_store(Arc::clone(&store)).with_engine(ReplayEngine::Dyn).with_shards(4);
-    let mo4 = Workbench::with_store(Arc::clone(&store)).with_shards(4);
-    for trace in 0..dy4.num_traces() {
-        assert_eq!(
-            *dy4.counters(ProtocolKind::Dir0B, trace, TraceFilter::Full),
-            *mo4.counters(ProtocolKind::Dir0B, trace, TraceFilter::Full),
-            "sharded engines diverged on trace {trace}"
-        );
-    }
-}
-
-/// Engine labels round-trip (the CLI flag surface).
-#[test]
-fn engine_labels_round_trip() {
-    for e in [ReplayEngine::Dyn, ReplayEngine::Mono] {
-        assert_eq!(ReplayEngine::from_label(e.label()), Some(e));
-    }
-    assert_eq!(ReplayEngine::from_label("bogus"), None);
-    assert_eq!(ReplayEngine::default(), ReplayEngine::Mono);
 }

@@ -5,10 +5,11 @@
 
 use std::sync::Arc;
 
-use dircc_serve::{client, json, JobEngine, JobHandler, JobSpec, Json, ServeConfig, Server};
-use dircc_sim::{profile_by_name, run_indexed, RunConfig, WorkbenchHandler};
+use dircc_obs::NoopRecorder;
+use dircc_serve::{client, json, JobHandler, JobSpec, Json, ServeConfig, Server};
+use dircc_sim::{profile_by_name, run_soa, RunConfig, WorkbenchHandler};
 use dircc_trace::gen::Generator;
-use dircc_trace::{BlockInterner, TraceRecord};
+use dircc_trace::{SoaStream, TraceRecord};
 
 fn job(scheme: &str, trace: &str, refs: u64) -> JobSpec {
     JobSpec {
@@ -18,7 +19,6 @@ fn job(scheme: &str, trace: &str, refs: u64) -> JobSpec {
         seed: dircc_serve::DEFAULT_SEED,
         filter: "full".to_string(),
         shards: 1,
-        engine: JobEngine::Mono,
         window: None,
     }
 }
@@ -56,8 +56,8 @@ fn digest_of(body: &str) -> String {
 }
 
 /// The handler's `/run` body carries the exact digest a direct
-/// `run_indexed` replay of the same generated trace produces — the
-/// service is a transport, not a different simulator.
+/// `run_soa` replay of the same generated trace produces — the service
+/// is a transport, not a different simulator.
 #[test]
 fn served_digest_matches_a_direct_run_indexed_replay() {
     let handler = WorkbenchHandler::new();
@@ -67,30 +67,38 @@ fn served_digest_matches_a_direct_run_indexed_replay() {
     let cpus = usize::from(profile.cpus);
     let cfg = RunConfig::default().with_process_sharing();
     let records: Vec<TraceRecord> = Generator::new(profile, dircc_serve::DEFAULT_SEED).collect();
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let mut p = dircc_core::build(dircc_core::ProtocolKind::DirNb { pointers: 1 }, cpus);
-    let res =
-        run_indexed(p.as_mut(), &records, &dense, interner.num_blocks(), &cfg).expect("replay");
+    let soa = SoaStream::intern(&records, cfg.geometry, cfg.sharing);
+    let kind = dircc_core::ProtocolKind::DirNb { pointers: 1 };
+    let res = run_soa(kind, cpus, &records, &soa, &cfg, &mut NoopRecorder).expect("replay");
 
     assert_eq!(digest_of(&body), format!("{:016x}", res.counters.digest()));
     assert!(body.contains(&format!("\"refs\": {}", res.refs)));
 }
 
-/// Counters are pinned shard- and engine-invariant, so any (shards,
-/// engine) combination serves the same bytes for the same run.
+/// Counters are pinned shard-invariant, so any shard count serves the
+/// same bytes for the same run.
 #[test]
-fn served_body_is_invariant_across_shards_and_engine() {
+fn served_body_is_invariant_across_shards() {
     let handler = WorkbenchHandler::new();
     let base = handler.run(&job("Wti", "THOR", 3000), "test-req-2").expect("run");
-    for (shards, engine) in [(4, JobEngine::Mono), (1, JobEngine::Dyn), (2, JobEngine::Dyn)] {
-        let spec = JobSpec { shards, engine, ..job("Wti", "THOR", 3000) };
-        assert_eq!(
-            handler.run(&spec, "test-req-2").expect("run"),
-            base,
-            "{shards} shard(s) {engine:?}"
-        );
+    for shards in [2, 3, 4] {
+        let spec = JobSpec { shards, ..job("Wti", "THOR", 3000) };
+        assert_eq!(handler.run(&spec, "test-req-2").expect("run"), base, "{shards} shard(s)");
     }
+}
+
+/// A job naming a replay engine is a field-level 400: there is one
+/// engine, so the field no longer exists, and the job never runs.
+#[test]
+fn served_job_with_an_engine_field_is_a_400() {
+    let (url, handler, join) = start(quiet());
+    let body = br#"{"scheme": "Dir0B", "trace": "PERO", "refs": 2500, "engine": "mono"}"#;
+    let resp = client::request(&url, "POST", "/run", Some(body)).expect("request");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("field 'engine': unknown field"), "{}", resp.text());
+    assert_eq!(handler.executed_runs(), 0, "a rejected job must not replay");
+    shutdown(&url);
+    join.join().expect("server thread");
 }
 
 /// Full loop through the real server: miss, then hit, byte-identical

@@ -1,7 +1,7 @@
 //! Shard-equivalence properties of the block-sharded replay engine.
 //!
-//! The tentpole guarantee: for every protocol, `run_sharded` at any shard
-//! count produces **bit-identical** results to the serial `run_indexed` —
+//! The guarantee: for every protocol, `run_sharded` at any shard count
+//! produces **bit-identical** results to the serial `run_soa` —
 //! same [`EventCounters`] (first-ref classification included: the
 //! `rm_first_ref`/`wm_first_ref` counters and the first-ref events they
 //! classify are part of the counter state), same verifier verdicts, same
@@ -11,9 +11,10 @@
 //! through the `Workbench`.
 
 use dircc_cache::FiniteCacheConfig;
-use dircc_core::{build_sized, ProtocolKind};
-use dircc_sim::{run_indexed, run_sharded, shard_stream, RunConfig, TraceFilter, Workbench};
-use dircc_trace::{BlockInterner, TraceRecord};
+use dircc_core::ProtocolKind;
+use dircc_obs::NoopRecorder;
+use dircc_sim::{run_sharded, run_soa, shard_stream, RunConfig, TraceFilter, Workbench};
+use dircc_trace::{SoaStream, TraceRecord};
 use dircc_types::{AccessKind, Address, CpuId, ProcessId};
 use proptest::prelude::*;
 
@@ -70,16 +71,18 @@ fn arb_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
     )
 }
 
+/// The interned structure-of-arrays split of `records` under `cfg`.
+fn soa_of(records: &[TraceRecord], cfg: &RunConfig) -> SoaStream {
+    SoaStream::intern(records, cfg.geometry, cfg.sharing)
+}
+
 /// Serial vs sharded replay of one trace under one config, for one kind.
 fn assert_shard_equivalent(kind: ProtocolKind, records: &[TraceRecord], cfg: &RunConfig) {
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(records);
-    let num_blocks = interner.num_blocks();
-    let mut p = build_sized(kind, CPUS, num_blocks);
-    let serial = run_indexed(p.as_mut(), records, &dense, num_blocks, cfg);
+    let soa = soa_of(records, cfg);
+    let serial = run_soa(kind, CPUS, records, &soa, cfg, &mut NoopRecorder);
     for shards in [1usize, 2, 3, 8] {
-        let sharded = shard_stream(records, &dense, num_blocks, shards, cfg);
-        let split = run_sharded(kind, CPUS, &sharded, cfg);
+        let sharded = shard_stream(records, &soa, shards, cfg);
+        let split = run_sharded(kind, CPUS, records, &sharded, cfg, |_, _, _, _| ());
         match (&serial, &split) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.counters, b.counters, "{kind} counters at {shards} shards");
@@ -145,14 +148,13 @@ fn more_shards_than_blocks_still_merges_exactly() {
         .map(|i| Op { cpu: (i % 4) as u16, kind: (i % 2) as u8, block: i % 3 }.record())
         .collect();
     let cfg = RunConfig { verify: true, ..RunConfig::default() };
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
-    assert!(num_blocks < 8);
-    let mut p = build_sized(ProtocolKind::Mesi, CPUS, num_blocks);
-    let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
-    let sharded = shard_stream(&records, &dense, num_blocks, 8, &cfg);
-    let split = run_sharded(ProtocolKind::Mesi, CPUS, &sharded, &cfg).unwrap();
+    let soa = soa_of(&records, &cfg);
+    assert!(soa.num_blocks < 8);
+    let serial =
+        run_soa(ProtocolKind::Mesi, CPUS, &records, &soa, &cfg, &mut NoopRecorder).unwrap();
+    let sharded = shard_stream(&records, &soa, 8, &cfg);
+    let split =
+        run_sharded(ProtocolKind::Mesi, CPUS, &records, &sharded, &cfg, |_, _, _, _| ()).unwrap();
     assert_eq!(serial.counters, split.counters);
     assert_eq!(split.counters.total(), 40);
 }

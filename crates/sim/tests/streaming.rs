@@ -1,17 +1,16 @@
 //! Bit-identity gates for the streaming replay paths: a trace replayed
 //! chunk-by-chunk (from memory or from an on-disk v2 file) must produce
 //! counters, refs and violation text byte-identical to the in-memory
-//! `run_indexed`/`run_sharded` paths, for every scheme and filter.
+//! `run_soa`/`run_sharded` paths, for every scheme and filter.
 
 use dircc_check::default_kinds;
-use dircc_core::build;
+use dircc_obs::NoopRecorder;
 use dircc_sim::engine::{
-    run_chunked, run_indexed, run_sharded, run_sharded_spilled, shard_stream, spill_sharded,
-    RunConfig,
+    run_chunked, run_sharded, run_soa, run_spilled, shard_stream, spill_sharded, RunConfig,
 };
 use dircc_trace::chunk::{ChunkedReader, ChunkedWriter, SliceChunks};
 use dircc_trace::gen::{Generator, Profile};
-use dircc_trace::{BlockInterner, TraceFilter, TraceRecord, TraceStore};
+use dircc_trace::{SoaStream, TraceFilter, TraceRecord, TraceStore};
 use std::path::PathBuf;
 
 fn store() -> TraceStore {
@@ -42,18 +41,15 @@ fn chunked_replay_is_bit_identical_for_every_scheme_trace_and_filter() {
     for trace in 0..store.num_traces() {
         for filter in [TraceFilter::Full, TraceFilter::ExcludeLockSpins] {
             let records = store.records(trace, filter);
-            let dense = store.dense_blocks(trace, filter, cfg.geometry);
-            let num_blocks = store.interner(trace, cfg.geometry).num_blocks();
+            let soa = store.soa(trace, filter, cfg.geometry, cfg.sharing);
             for kind in default_kinds() {
-                let mut p = build(kind, 4);
-                let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+                let serial = run_soa(kind, 4, &records, &soa, &cfg, &mut NoopRecorder).unwrap();
                 // Odd chunk size exercises chunk-boundary handling. The
                 // streaming path interns its own (filtered) stream order
                 // while the store's dense ids come from the full stream —
                 // both are bijective renamings, so counters must agree.
                 let mut source = SliceChunks::new(&records[..], 997);
-                let mut p = build(kind, 4);
-                let streamed = run_chunked(p.as_mut(), &mut source, &cfg).unwrap();
+                let streamed = run_chunked(kind, 4, &mut source, &cfg).unwrap();
                 assert_eq!(serial.counters, streamed.counters, "{kind} trace {trace} {filter:?}");
                 assert_eq!(serial.refs, streamed.refs);
                 assert_eq!(serial.violations, streamed.violations);
@@ -67,19 +63,16 @@ fn v2_file_replay_is_bit_identical_to_in_memory() {
     let store = store();
     let cfg = cfg();
     let records = store.records(1, TraceFilter::Full);
-    let dense = store.dense_blocks(1, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(1, cfg.geometry).num_blocks();
+    let soa = store.soa(1, TraceFilter::Full, cfg.geometry, cfg.sharing);
     // Encode to an in-memory v2 "file" with a small chunk size, then
     // stream it back through the engine.
     let mut w = ChunkedWriter::with_chunk_records(Vec::new(), 1_024);
     w.write_all(records.iter()).unwrap();
     let bytes = w.finish().unwrap();
     for kind in default_kinds() {
-        let mut p = build(kind, 4);
-        let serial = run_indexed(p.as_mut(), &records, &dense, num_blocks, &cfg).unwrap();
+        let serial = run_soa(kind, 4, &records, &soa, &cfg, &mut NoopRecorder).unwrap();
         let mut reader = ChunkedReader::new(&bytes[..]).unwrap();
-        let mut p = build(kind, 4);
-        let streamed = run_chunked(p.as_mut(), &mut reader, &cfg).unwrap();
+        let streamed = run_chunked(kind, 4, &mut reader, &cfg).unwrap();
         assert_eq!(serial.counters, streamed.counters, "{kind}");
         assert_eq!(serial.refs, streamed.refs);
         assert_eq!(serial.violations, streamed.violations);
@@ -91,16 +84,15 @@ fn spilled_sharded_replay_is_bit_identical_to_in_memory_sharding() {
     let store = store();
     let cfg = cfg();
     let records = store.records(0, TraceFilter::Full);
-    let dense = store.dense_blocks(0, TraceFilter::Full, cfg.geometry);
-    let num_blocks = store.interner(0, cfg.geometry).num_blocks();
+    let soa = store.soa(0, TraceFilter::Full, cfg.geometry, cfg.sharing);
     let dir = tmpdir("sharded");
     for shards in [1, 2, 3, 8] {
         let mut source = SliceChunks::new(&records[..], 513);
         let spilled = spill_sharded(&mut source, shards, &cfg, &dir).unwrap();
-        let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
+        let sharded = shard_stream(&records, &soa, shards, &cfg);
         for kind in default_kinds() {
-            let mem = run_sharded(kind, 4, &sharded, &cfg).unwrap();
-            let ooc = run_sharded_spilled(kind, 4, &spilled, &cfg).unwrap();
+            let mem = run_sharded(kind, 4, &records, &sharded, &cfg, |_, _, _, _| ()).unwrap();
+            let ooc = run_spilled(kind, 4, &spilled, &cfg).unwrap();
             assert_eq!(mem.counters, ooc.counters, "{kind} at {shards} shards");
             assert_eq!(mem.refs, ooc.refs);
             assert_eq!(mem.violations, ooc.violations);
@@ -119,18 +111,16 @@ fn spilled_finite_cache_sharding_matches_in_memory() {
         verify: true,
         ..RunConfig::default().with_finite_caches(FiniteCacheConfig::new(4, 2))
     };
-    let interner = BlockInterner::from_records(records.iter(), cfg.geometry);
-    let dense = interner.dense_stream(&records);
-    let num_blocks = interner.num_blocks();
+    let soa = SoaStream::intern(&records, cfg.geometry, cfg.sharing);
     let dir = tmpdir("finite");
     for shards in [2, 4, 8] {
         let mut source = SliceChunks::new(&records[..], 769);
         let spilled = spill_sharded(&mut source, shards, &cfg, &dir).unwrap();
-        let sharded = shard_stream(&records, &dense, num_blocks, shards, &cfg);
+        let sharded = shard_stream(&records, &soa, shards, &cfg);
         assert_eq!(spilled.num_shards(), sharded.num_shards(), "same set-count clamping");
         for kind in [ProtocolKind::Dir0B, ProtocolKind::Berkeley, ProtocolKind::Mesi] {
-            let mem = run_sharded(kind, 4, &sharded, &cfg).unwrap();
-            let ooc = run_sharded_spilled(kind, 4, &spilled, &cfg).unwrap();
+            let mem = run_sharded(kind, 4, &records, &sharded, &cfg, |_, _, _, _| ()).unwrap();
+            let ooc = run_spilled(kind, 4, &spilled, &cfg).unwrap();
             assert_eq!(mem.counters, ooc.counters, "{kind} at {shards} shards");
             assert_eq!(mem.violations, ooc.violations);
         }
@@ -149,7 +139,6 @@ fn truncated_v2_stream_is_an_error_not_a_short_trace() {
     // read error, not silently replay a shorter trace.
     let cut = bytes.len() - 40;
     let mut reader = ChunkedReader::new(&bytes[..cut]).unwrap();
-    let mut p = build(dircc_check::default_kinds()[0], 4);
-    let err = run_chunked(p.as_mut(), &mut reader, &RunConfig::default()).unwrap_err();
+    let err = run_chunked(default_kinds()[0], 4, &mut reader, &RunConfig::default()).unwrap_err();
     assert!(err.contains("trace read failed"), "got: {err}");
 }

@@ -20,7 +20,7 @@
 //!   by the chunk size rather than the trace length.
 //! * [`spill`] — out-of-core shard partitioning: one streaming pass routes
 //!   a [`ChunkSource`] into per-shard temp files that replay like
-//!   [`ShardedStream`] shards, for traces larger than RAM.
+//!   [`ShardedSoa`] shards, for traces larger than RAM.
 //! * [`stats`] — reference-stream statistics reproducing Table 3.
 //! * [`gen`] — the synthetic workload generator with calibrated profiles
 //!   `pops`, `thor` and `pero`, plus primitive sharing kernels for tests.
@@ -31,16 +31,16 @@
 //! * [`intern`] — dense block ids: a [`BlockInterner`](intern::BlockInterner)
 //!   renames a stream's sparse block addresses to first-appearance-order
 //!   `u32` ids so replay state lives in flat vectors instead of hash maps.
-//! * [`shard`] — block-sharded sub-streams: a
-//!   [`ShardedStream`](shard::ShardedStream) partitions a dense-id stream
-//!   into per-block shards (with shard-local renaming and global
-//!   reference numbers) so one run can replay its shards in parallel and
-//!   merge counters back bit-identically.
 //! * [`soa`] — structure-of-arrays replay streams: a
 //!   [`SoaStream`](soa::SoaStream) splits a dense-id stream into flat
 //!   `kind`/`cache_idx`/`block_id`/`first_ref` arrays with the sharing
 //!   model and address math precomputed, so the replay hot loop touches
 //!   no [`TraceRecord`] at all.
+//! * [`shard`] — block-sharded sub-streams: a
+//!   [`ShardedSoa`](shard::ShardedSoa) partitions a [`SoaStream`] into
+//!   per-block shards (with shard-local renaming and global reference
+//!   numbers) so one run can replay its shards in parallel and merge
+//!   counters back bit-identically.
 //!
 //! # Examples
 //!
@@ -74,7 +74,7 @@ pub use chunk::{
 };
 pub use intern::BlockInterner;
 pub use record::{RecordFlags, TraceRecord};
-pub use shard::{Shard, ShardedStream};
-pub use soa::{ShardedSoa, SoaStream};
+pub use shard::{Shard, ShardedSoa};
+pub use soa::SoaStream;
 pub use spill::{SpilledShard, SpilledShards};
 pub use store::{TraceFilter, TraceStore};

@@ -1,7 +1,7 @@
 //! Trace records.
 
 use core::fmt;
-use dircc_types::{AccessKind, Address, CpuId, ProcessId};
+use dircc_types::{AccessKind, Address, CpuId, ProcessId, SharingModel};
 
 /// Metadata flags attached to a [`TraceRecord`].
 ///
@@ -138,6 +138,17 @@ impl TraceRecord {
     #[inline]
     pub fn is_data(&self) -> bool {
         self.kind.is_data()
+    }
+
+    /// The cache this record maps to under `sharing`: its CPU number for
+    /// [`SharingModel::Processor`], its process id for
+    /// [`SharingModel::Process`].
+    #[inline]
+    pub fn cache_index(&self, sharing: SharingModel) -> u16 {
+        match sharing {
+            SharingModel::Processor => self.cpu.raw(),
+            SharingModel::Process => self.pid.raw(),
+        }
     }
 
     /// Returns `true` if this is a lock-test read (a read with the lock

@@ -1,20 +1,24 @@
-//! Block-sharded sub-streams for intra-run parallel replay.
+//! Block-sharded structure-of-arrays streams for intra-run parallel replay.
 //!
 //! With infinite caches, the protocol state touched by block *b* never
-//! interacts with the state of any other block, so a dense-id stream can
-//! be partitioned by any pure function of the block into `S` sub-streams
+//! interacts with the state of any other block, so a [`SoaStream`] can be
+//! partitioned by any pure function of the block into `S` sub-streams
 //! that replay independently and whose [`EventCounters`] merge back
-//! bit-identically (counters are purely additive). A [`ShardedStream`]
-//! holds that partition:
+//! bit-identically (counters are purely additive). A [`ShardedSoa`] holds
+//! that partition:
 //!
-//! * every *data* record lands in the shard its block routes to, with
-//!   per-shard record order preserved;
+//! * every *data* entry lands in the shard its block routes to, with
+//!   per-shard order preserved;
 //! * instruction fetches (which never reach a protocol) are dealt
 //!   round-robin so their counter bumps spread evenly;
 //! * block ids are renamed to *shard-local* dense ids in first-appearance
-//!   order, so each shard's tables are sized for its blocks only;
-//! * every record keeps its 1-based *global* reference number, so
-//!   verifier findings and errors merge back in trace order.
+//!   order, so each shard's tables are sized for its blocks only (a
+//!   block's entries all share one shard, so its first-reference bit
+//!   carries over unchanged);
+//! * every entry keeps its 1-based *global* reference number, so verifier
+//!   findings and errors merge back in trace order — and replay reaches
+//!   the original record through it on the cold paths that need one
+//!   (finite-cache set selection, error text).
 //!
 //! The router must be a pure function of the block (the builder asserts
 //! it): the engine uses `block_id % S` for infinite caches and
@@ -23,102 +27,92 @@
 //!
 //! [`EventCounters`]: https://docs.rs/dircc-core
 
-use crate::record::TraceRecord;
+use crate::soa::SoaStream;
+use dircc_types::SharingModel;
 
-/// One shard of a partitioned dense-id stream.
+/// One shard of a partitioned [`SoaStream`].
 #[derive(Debug, Clone)]
 pub struct Shard {
-    /// The shard's records, in global trace order.
-    pub records: Vec<TraceRecord>,
-    /// Shard-local dense block ids, aligned with `records` (instruction
-    /// fetches carry a placeholder that replay never reads).
-    pub dense: Vec<u32>,
-    /// 1-based global reference numbers, aligned with `records`.
+    /// The shard's entries in global trace order, block ids renamed to
+    /// shard-local dense ids (`soa.num_blocks` sizes its tables).
+    pub soa: SoaStream,
+    /// 1-based global reference numbers, aligned with `soa`.
     pub global_refs: Vec<u64>,
     /// Maps each shard-local dense id back to the stream's global dense
     /// id (one entry per distinct block), so shard-local replay can
     /// report diagnostics in global terms.
     pub global_ids: Vec<u32>,
-    /// Distinct data blocks routed to this shard — sizes its tables.
-    pub num_blocks: usize,
 }
 
-/// A dense-id stream partitioned into per-block shards.
+/// A [`SoaStream`] partitioned into per-block shards.
 #[derive(Debug, Clone)]
-pub struct ShardedStream {
+pub struct ShardedSoa {
     shards: Vec<Shard>,
     total_records: usize,
     total_blocks: usize,
+    sharing: SharingModel,
 }
 
-impl ShardedStream {
-    /// Partitions a record stream and its aligned dense-id stream into
-    /// `shards` sub-streams. `route(record, dense_id)` is called for every
-    /// *data* record and must return the same shard for every occurrence
-    /// of a block; instruction fetches are dealt round-robin by record
-    /// index.
+impl ShardedSoa {
+    /// Partitions `soa` into `shards` sub-streams. `route(index, dense_id)`
+    /// is called for every *data* entry — `index` is its 0-based position
+    /// in `soa` (so a router may consult the original record) — and must
+    /// return the same shard for every occurrence of a block; instruction
+    /// fetches are dealt round-robin by index.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero, `dense` is not aligned with `records`,
-    /// the router returns an out-of-range shard, or the router is not a
-    /// pure function of the block.
-    pub fn build<F>(
-        records: &[TraceRecord],
-        dense: &[u32],
-        num_blocks: usize,
-        shards: usize,
-        mut route: F,
-    ) -> Self
+    /// Panics if `shards` is zero, the router returns an out-of-range
+    /// shard, or the router is not a pure function of the block.
+    pub fn build<F>(soa: &SoaStream, shards: usize, mut route: F) -> Self
     where
-        F: FnMut(&TraceRecord, u32) -> usize,
+        F: FnMut(usize, u32) -> usize,
     {
         assert!(shards >= 1, "need at least one shard");
-        assert_eq!(records.len(), dense.len(), "dense-id stream must align with the record stream");
         let mut out: Vec<Shard> = (0..shards)
             .map(|_| Shard {
-                records: Vec::new(),
-                dense: Vec::new(),
+                soa: SoaStream::new(soa.sharing),
                 global_refs: Vec::new(),
                 global_ids: Vec::new(),
-                num_blocks: 0,
             })
             .collect();
         // Shard-local renaming: ascending global id order within a shard
-        // IS first-appearance order within the shard, so the rank map
-        // below assigns shard-local ids in first-appearance order too.
+        // IS first-appearance order within the shard, so ids are handed
+        // out in first-appearance order too.
         const UNSEEN: u32 = u32::MAX;
-        let mut local = vec![UNSEEN; num_blocks];
-        let mut owner = vec![UNSEEN; num_blocks];
-        for (i, r) in records.iter().enumerate() {
-            let gref = (i + 1) as u64;
-            let (s, lid) = if r.is_data() {
-                let gid = dense[i] as usize;
-                assert!(gid < num_blocks, "dense id {gid} out of range for {num_blocks} blocks");
-                let s = route(r, dense[i]);
+        let mut local = vec![UNSEEN; soa.num_blocks];
+        let mut owner = vec![UNSEEN; soa.num_blocks];
+        for i in 0..soa.len() {
+            let kind = soa.kind[i];
+            let (s, lid) = if kind.is_data() {
+                let gid = soa.block_id[i];
+                let g = gid as usize;
+                let s = route(i, gid);
                 assert!(s < shards, "router sent block {gid} to shard {s} of {shards}");
-                if owner[gid] == UNSEEN {
-                    owner[gid] = s as u32;
-                    local[gid] =
-                        u32::try_from(out[s].num_blocks).expect("more than u32::MAX shard blocks");
-                    out[s].global_ids.push(dense[i]);
-                    out[s].num_blocks += 1;
+                if owner[g] == UNSEEN {
+                    owner[g] = s as u32;
+                    local[g] = u32::try_from(out[s].global_ids.len())
+                        .expect("more than u32::MAX shard blocks");
+                    out[s].global_ids.push(gid);
                 } else {
                     assert_eq!(
-                        owner[gid], s as u32,
-                        "router must be a pure function of the block (block {gid})"
+                        owner[g], s as u32,
+                        "router must be a pure function of the block (block {g})"
                     );
                 }
-                (s, local[gid])
+                (s, local[g])
             } else {
                 (i % shards, 0)
             };
-            out[s].records.push(*r);
-            out[s].dense.push(lid);
-            out[s].global_refs.push(gref);
+            let sh = &mut out[s];
+            sh.soa.push(kind, soa.cache_idx[i], lid, soa.first_ref[i]);
+            sh.global_refs.push(i as u64 + 1);
         }
-        let total_blocks = out.iter().map(|s| s.num_blocks).sum();
-        ShardedStream { shards: out, total_records: records.len(), total_blocks }
+        for sh in &mut out {
+            sh.soa.num_blocks = sh.global_ids.len();
+        }
+        let total_blocks = out.iter().map(|s| s.soa.num_blocks).sum();
+        ShardedSoa { shards: out, total_records: soa.len(), total_blocks, sharing: soa.sharing }
     }
 
     /// The shards, in shard-index order.
@@ -131,7 +125,7 @@ impl ShardedStream {
         self.shards.len()
     }
 
-    /// Total records across all shards (= the input stream's length).
+    /// Total entries across all shards (= the input stream's length).
     pub fn total_records(&self) -> usize {
         self.total_records
     }
@@ -141,10 +135,9 @@ impl ShardedStream {
         self.total_blocks
     }
 
-    /// Per-shard distinct-block counts, in shard order (what sizes each
-    /// shard's protocol instance).
-    pub fn shard_blocks(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.num_blocks).collect()
+    /// The sharing model the cache indices were computed under.
+    pub fn sharing(&self) -> SharingModel {
+        self.sharing
     }
 }
 
@@ -153,36 +146,37 @@ mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
     use crate::intern::BlockInterner;
+    use crate::record::TraceRecord;
     use dircc_types::BlockGeometry;
 
-    fn stream() -> (Vec<TraceRecord>, Vec<u32>, usize) {
+    fn stream() -> (Vec<TraceRecord>, SoaStream) {
         let records: Vec<TraceRecord> =
             Generator::new(Profile::pops().with_total_refs(4_000), 5).collect();
         let interner = BlockInterner::from_records(records.iter(), BlockGeometry::PAPER);
         let dense = interner.dense_stream(&records);
-        let n = interner.num_blocks();
-        (records, dense, n)
+        let soa =
+            SoaStream::build(&records, &dense, interner.num_blocks(), SharingModel::Processor);
+        (records, soa)
     }
 
     #[test]
     fn shards_partition_the_stream_preserving_order() {
-        let (records, dense, n) = stream();
+        let (records, soa) = stream();
         for shards in [1, 2, 3, 8] {
-            let s =
-                ShardedStream::build(&records, &dense, n, shards, |_, gid| gid as usize % shards);
+            let s = ShardedSoa::build(&soa, shards, |_, gid| gid as usize % shards);
             assert_eq!(s.num_shards(), shards);
             assert_eq!(s.total_records(), records.len());
-            assert_eq!(s.total_blocks(), n);
-            // Every record appears exactly once; global refs are strictly
+            assert_eq!(s.total_blocks(), soa.num_blocks);
+            // Every entry appears exactly once; global refs are strictly
             // increasing within a shard (order preserved) and merge back
             // to exactly 1..=len.
             let mut all: Vec<u64> = Vec::new();
             for sh in s.shards() {
-                assert_eq!(sh.records.len(), sh.dense.len());
-                assert_eq!(sh.records.len(), sh.global_refs.len());
+                assert_eq!(sh.soa.len(), sh.global_refs.len());
                 assert!(sh.global_refs.windows(2).all(|w| w[0] < w[1]));
-                for (r, &g) in sh.records.iter().zip(&sh.global_refs) {
-                    assert_eq!(*r, records[(g - 1) as usize], "record kept its identity");
+                for (j, &g) in sh.global_refs.iter().enumerate() {
+                    let r = records[(g - 1) as usize];
+                    assert_eq!(sh.soa.kind[j], r.kind, "entry kept its identity");
                 }
                 all.extend(&sh.global_refs);
             }
@@ -193,27 +187,29 @@ mod tests {
 
     #[test]
     fn shard_local_ids_are_dense_and_first_appearance_ordered() {
-        let (records, dense, n) = stream();
-        let s = ShardedStream::build(&records, &dense, n, 3, |_, gid| gid as usize % 3);
+        let (_, soa) = stream();
+        let s = ShardedSoa::build(&soa, 3, |_, gid| gid as usize % 3);
         for (s_idx, sh) in s.shards().iter().enumerate() {
             let mut next = 0u32;
-            for (r, &lid) in sh.records.iter().zip(&sh.dense) {
-                if !r.is_data() {
+            for j in 0..sh.soa.len() {
+                if !sh.soa.kind[j].is_data() {
                     continue;
                 }
+                let lid = sh.soa.block_id[j];
                 assert!(lid <= next, "ids appear in first-appearance order");
+                assert_eq!(sh.soa.first_ref[j], lid == next, "first reference stays first");
                 if lid == next {
                     next += 1;
                 }
             }
-            assert_eq!(next as usize, sh.num_blocks);
+            assert_eq!(next as usize, sh.soa.num_blocks);
             // global_ids inverts the shard-local renaming: every data
-            // record's global dense id is recoverable from its local id.
-            assert_eq!(sh.global_ids.len(), sh.num_blocks);
-            for (i, (r, &lid)) in sh.records.iter().zip(&sh.dense).enumerate() {
-                if r.is_data() {
-                    let gid = sh.global_ids[lid as usize];
-                    assert_eq!(gid, dense[(sh.global_refs[i] - 1) as usize]);
+            // entry's global dense id is recoverable from its local id.
+            assert_eq!(sh.global_ids.len(), sh.soa.num_blocks);
+            for j in 0..sh.soa.len() {
+                if sh.soa.kind[j].is_data() {
+                    let gid = sh.global_ids[sh.soa.block_id[j] as usize];
+                    assert_eq!(gid, soa.block_id[(sh.global_refs[j] - 1) as usize]);
                     assert_eq!(gid as usize % 3, s_idx, "router consistency");
                 }
             }
@@ -222,24 +218,28 @@ mod tests {
 
     #[test]
     fn single_shard_is_the_identity_partition() {
-        let (records, dense, n) = stream();
-        let s = ShardedStream::build(&records, &dense, n, 1, |_, _| 0);
-        assert_eq!(s.shards()[0].records, records);
-        // With one shard, local ids equal global ids on data records.
-        for (i, r) in records.iter().enumerate() {
-            if r.is_data() {
-                assert_eq!(s.shards()[0].dense[i], dense[i]);
+        let (_, soa) = stream();
+        let s = ShardedSoa::build(&soa, 1, |_, _| 0);
+        let only = &s.shards()[0].soa;
+        assert_eq!(only.kind, soa.kind);
+        assert_eq!(only.first_ref, soa.first_ref);
+        assert_eq!(only.max_cache_idx, soa.max_cache_idx);
+        // With one shard, local ids equal global ids on data entries.
+        for j in 0..soa.len() {
+            if soa.kind[j].is_data() {
+                assert_eq!(only.block_id[j], soa.block_id[j]);
+                assert_eq!(only.cache_idx[j], soa.cache_idx[j]);
             }
         }
-        assert_eq!(s.shards()[0].num_blocks, n);
+        assert_eq!(only.num_blocks, soa.num_blocks);
     }
 
     #[test]
     #[should_panic(expected = "pure function")]
     fn inconsistent_router_is_rejected() {
-        let (records, dense, n) = stream();
+        let (_, soa) = stream();
         let mut flip = 0usize;
-        let _ = ShardedStream::build(&records, &dense, n, 2, |_, _| {
+        let _ = ShardedSoa::build(&soa, 2, |_, _| {
             flip += 1;
             flip % 2
         });
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let (records, dense, n) = stream();
-        let _ = ShardedStream::build(&records, &dense, n, 0, |_, gid| gid as usize);
+        let (_, soa) = stream();
+        let _ = ShardedSoa::build(&soa, 0, |_, gid| gid as usize);
     }
 }

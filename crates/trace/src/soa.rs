@@ -1,29 +1,27 @@
 //! Structure-of-arrays replay streams.
 //!
-//! The dense-id rewrite (see [`crate::intern`]) removed hashing from the
-//! replay loop but still walks 16-byte [`TraceRecord`]s and redoes the
-//! sharing-model match plus `geometry.block_of` address math per
-//! reference. A [`SoaStream`] finishes the job: it splits one
-//! (records, dense-ids) pair into four flat arrays —
-//! `kind` / `cache_idx` / `block_id` / `first_ref` — with the
-//! sharing-model cache index and the global first-reference bit
-//! precomputed at build time, so a replay loop touches no `TraceRecord`
-//! and performs no address math at all.
+//! Interning (see [`crate::intern`]) removes hashing from the replay
+//! loop, but 16-byte [`TraceRecord`]s still carry a sharing-model match
+//! and `geometry.block_of` address math per reference. A [`SoaStream`]
+//! finishes the job: it splits one (records, dense-ids) pair into four
+//! flat arrays — `kind` / `cache_idx` / `block_id` / `first_ref` — with
+//! the sharing-model cache index and the first-reference bit precomputed,
+//! so a replay loop touches no `TraceRecord` and performs no address
+//! math at all.
 //!
 //! `max_cache_idx` is the stream-wide maximum over *data* references:
 //! when it is below the protocol's cache count the per-reference bounds
 //! check is provably dead and a replay loop may skip it entirely; the
-//! engine's mono path falls back to the checking loop (with its exact
-//! serial error message, which needs the original records) otherwise.
+//! engine falls back to its checking loop (whose error message names the
+//! original record) otherwise.
 //!
-//! A [`ShardedSoa`] is the same split applied to every shard of a
-//! [`ShardedStream`], aligned one-to-one with its shards so the sharded
-//! replay path keeps the original records available for cold paths
-//! (finite-cache set selection, diagnostics) while the hot loop reads
-//! only flat arrays.
+//! The same type doubles as the engine's reusable batch buffer: streaming
+//! replay [`clear`](SoaStream::clear)s it and [`push`](SoaStream::push)es
+//! one interned chunk at a time. [`crate::shard::ShardedSoa`] splits a
+//! stream into per-shard `SoaStream`s for parallel replay.
 
+use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
-use crate::shard::ShardedStream;
 use dircc_types::{AccessKind, BlockGeometry, SharingModel};
 
 /// A dense-id record stream split into flat per-field arrays, with the
@@ -71,37 +69,74 @@ impl SoaStream {
         sharing: SharingModel,
     ) -> Self {
         assert_eq!(records.len(), dense.len(), "dense-id stream must align with the record stream");
-        let len = records.len();
-        let mut kind = Vec::with_capacity(len);
-        let mut cache_idx = Vec::with_capacity(len);
-        let mut block_id = Vec::with_capacity(len);
-        let mut first_ref = Vec::with_capacity(len);
+        let mut soa = SoaStream::new(sharing);
+        soa.num_blocks = num_blocks;
+        soa.kind.reserve(records.len());
+        soa.cache_idx.reserve(records.len());
+        soa.block_id.reserve(records.len());
+        soa.first_ref.reserve(records.len());
         let mut seen = vec![0u64; num_blocks.div_ceil(64)];
-        let mut max_cache_idx = 0u16;
         for (r, &id) in records.iter().zip(dense) {
-            kind.push(r.kind);
             if r.is_data() {
                 assert!(
                     (id as usize) < num_blocks,
                     "dense id {id} out of range for {num_blocks} blocks"
                 );
-                let idx = match sharing {
-                    SharingModel::Processor => r.cpu.raw(),
-                    SharingModel::Process => r.pid.raw(),
-                };
-                max_cache_idx = max_cache_idx.max(idx);
                 let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
-                first_ref.push(seen[word] & bit == 0);
+                soa.push(r.kind, r.cache_index(sharing), id, seen[word] & bit == 0);
                 seen[word] |= bit;
-                cache_idx.push(idx);
-                block_id.push(id);
             } else {
-                cache_idx.push(0);
-                block_id.push(0);
-                first_ref.push(false);
+                soa.push(r.kind, 0, 0, false);
             }
         }
-        SoaStream { kind, cache_idx, block_id, first_ref, num_blocks, sharing, max_cache_idx }
+        soa
+    }
+
+    /// Interns `records` under `geometry` (dense ids in first-appearance
+    /// order) and splits them under `sharing` — [`SoaStream::build`] over
+    /// the records' own interner.
+    pub fn intern(records: &[TraceRecord], geometry: BlockGeometry, sharing: SharingModel) -> Self {
+        let interner = BlockInterner::from_records(records.iter(), geometry);
+        Self::build(records, &interner.dense_stream(records), interner.num_blocks(), sharing)
+    }
+
+    /// An empty stream under `sharing`, to be filled with
+    /// [`push`](SoaStream::push).
+    pub fn new(sharing: SharingModel) -> Self {
+        SoaStream {
+            kind: Vec::new(),
+            cache_idx: Vec::new(),
+            block_id: Vec::new(),
+            first_ref: Vec::new(),
+            num_blocks: 0,
+            sharing,
+            max_cache_idx: 0,
+        }
+    }
+
+    /// Appends one entry. Data entries raise `max_cache_idx`; for an
+    /// instruction fetch the other fields are placeholders replay never
+    /// reads. `num_blocks` is the caller's to maintain.
+    #[inline]
+    pub fn push(&mut self, kind: AccessKind, cache_idx: u16, block_id: u32, first_ref: bool) {
+        if kind.is_data() {
+            self.max_cache_idx = self.max_cache_idx.max(cache_idx);
+        }
+        self.kind.push(kind);
+        self.cache_idx.push(cache_idx);
+        self.block_id.push(block_id);
+        self.first_ref.push(first_ref);
+    }
+
+    /// Empties the stream (keeping its allocations) for reuse as a batch
+    /// buffer.
+    pub fn clear(&mut self) {
+        self.kind.clear();
+        self.cache_idx.clear();
+        self.block_id.clear();
+        self.first_ref.clear();
+        self.num_blocks = 0;
+        self.max_cache_idx = 0;
     }
 
     /// Number of records in the stream.
@@ -112,36 +147,6 @@ impl SoaStream {
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
         self.kind.is_empty()
-    }
-}
-
-/// The structure-of-arrays split of every shard of a [`ShardedStream`],
-/// aligned one-to-one with [`ShardedStream::shards`].
-#[derive(Debug, Clone)]
-pub struct ShardedSoa {
-    shards: Vec<SoaStream>,
-    sharing: SharingModel,
-}
-
-impl ShardedSoa {
-    /// Builds the per-shard SoA split of `sharded` under `sharing`.
-    pub fn build(sharded: &ShardedStream, sharing: SharingModel) -> Self {
-        let shards = sharded
-            .shards()
-            .iter()
-            .map(|sh| SoaStream::build(&sh.records, &sh.dense, sh.num_blocks, sharing))
-            .collect();
-        ShardedSoa { shards, sharing }
-    }
-
-    /// The per-shard streams, in shard-index order.
-    pub fn shards(&self) -> &[SoaStream] {
-        &self.shards
-    }
-
-    /// The sharing model the cache indices were computed under.
-    pub fn sharing(&self) -> SharingModel {
-        self.sharing
     }
 }
 
@@ -160,10 +165,7 @@ pub fn soa_reference_values(
     let mut seen = std::collections::HashSet::new();
     for r in records {
         if r.is_data() {
-            cache_idx.push(match sharing {
-                SharingModel::Processor => r.cpu.raw(),
-                SharingModel::Process => r.pid.raw(),
-            });
+            cache_idx.push(r.cache_index(sharing));
             first_ref.push(seen.insert(geometry.block_of(r.addr)));
         } else {
             cache_idx.push(0);
@@ -177,7 +179,7 @@ pub fn soa_reference_values(
 mod tests {
     use super::*;
     use crate::gen::{Generator, Profile};
-    use crate::intern::BlockInterner;
+    use crate::shard::ShardedSoa;
     use dircc_types::BlockGeometry;
 
     fn stream() -> (Vec<TraceRecord>, Vec<u32>, usize) {
@@ -229,16 +231,24 @@ mod tests {
     #[test]
     fn sharded_soa_aligns_with_the_partition() {
         let (records, dense, n) = stream();
-        let sharded = ShardedStream::build(&records, &dense, n, 3, |_, gid| gid as usize % 3);
-        let soa = ShardedSoa::build(&sharded, SharingModel::Process);
-        assert_eq!(soa.shards().len(), sharded.num_shards());
-        assert_eq!(soa.sharing(), SharingModel::Process);
-        for (sh, so) in sharded.shards().iter().zip(soa.shards()) {
-            assert_eq!(so.len(), sh.records.len());
-            assert_eq!(so.num_blocks, sh.num_blocks);
-            let expect = SoaStream::build(&sh.records, &sh.dense, sh.num_blocks, so.sharing);
-            assert_eq!(so.block_id, expect.block_id);
-            assert_eq!(so.first_ref, expect.first_ref);
+        let soa = SoaStream::build(&records, &dense, n, SharingModel::Process);
+        let sharded = ShardedSoa::build(&soa, 3, |_, gid| gid as usize % 3);
+        assert_eq!(sharded.num_shards(), 3);
+        assert_eq!(sharded.sharing(), SharingModel::Process);
+        for sh in sharded.shards() {
+            assert_eq!(sh.soa.len(), sh.global_refs.len());
+            assert_eq!(sh.soa.num_blocks, sh.global_ids.len());
+            // Every shard entry is the serial entry its gref names, with
+            // the block renamed to a shard-local id.
+            for (j, &gref) in sh.global_refs.iter().enumerate() {
+                let g = (gref - 1) as usize;
+                assert_eq!(sh.soa.kind[j], soa.kind[g]);
+                if soa.kind[g].is_data() {
+                    assert_eq!(sh.soa.cache_idx[j], soa.cache_idx[g]);
+                    assert_eq!(sh.soa.first_ref[j], soa.first_ref[g]);
+                    assert_eq!(sh.global_ids[sh.soa.block_id[j] as usize], soa.block_id[g]);
+                }
+            }
         }
     }
 

@@ -1,14 +1,14 @@
 //! Out-of-core shard partitioning: spilling per-shard sub-streams to disk.
 //!
-//! [`crate::shard::ShardedStream`] partitions an in-memory dense-id stream
-//! for parallel replay. For traces larger than RAM that in-memory build is
+//! [`crate::shard::ShardedSoa`] partitions an in-memory stream for
+//! parallel replay. For traces larger than RAM that in-memory build is
 //! exactly what streaming replay must avoid, so [`spill_shards`] performs
 //! the same partition in one bounded-memory pass over a
 //! [`ChunkSource`](crate::chunk::ChunkSource): every record is routed to
-//! its shard and appended to that shard's temp file, carrying the same
-//! three things a [`Shard`](crate::shard::Shard) row carries — the record,
-//! its shard-local dense block id, and its 1-based global reference
-//! number. The partition rules are identical by construction:
+//! its shard and appended to that shard's temp file together with its
+//! shard-local dense block id and its 1-based global reference number —
+//! what a [`Shard`](crate::shard::Shard) entry carries, plus the record
+//! itself. The partition rules are identical by construction:
 //!
 //! * data records go to `route(record, global_id)`, which must be a pure
 //!   function of the block;
@@ -98,12 +98,6 @@ impl SpilledShards {
     pub fn total_blocks(&self) -> usize {
         self.total_blocks
     }
-
-    /// Per-shard distinct-block counts, in shard order (what sizes each
-    /// shard's protocol instance).
-    pub fn shard_blocks(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.num_blocks).collect()
-    }
 }
 
 impl Drop for SpilledShards {
@@ -119,12 +113,13 @@ impl Drop for SpilledShards {
 /// `route(record, global_id)` is called for every *data* record and must
 /// return the same shard for every occurrence of a block; instruction
 /// fetches are dealt round-robin by global record index — both exactly as
-/// [`ShardedStream::build`](crate::shard::ShardedStream::build) does, so
-/// spilled replay merges bit-identically with the in-memory path.
+/// [`ShardedSoa::build`](crate::shard::ShardedSoa::build) does, so spilled
+/// replay merges bit-identically with the in-memory path.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the source and the spill files.
+/// Propagates I/O errors from the source and the spill files. On error
+/// every spill file this call created is removed again.
 ///
 /// # Panics
 ///
@@ -150,30 +145,34 @@ where
         last_gref: u64,
     }
     let paths: Vec<PathBuf> = (0..shards).map(|s| dir.join(format!("shard{s}.dccs"))).collect();
-    let mut out: Vec<Building> = paths
-        .iter()
-        .map(|p| {
-            Ok(Building {
-                writer: BufWriter::new(File::create(p)?),
-                num_blocks: 0,
-                global_ids: Vec::new(),
-                records: 0,
-                last_gref: 0,
-            })
-        })
-        .collect::<io::Result<_>>()?;
-    // Cleanup guard: remove the files on any error path below.
-    struct RemoveOnDrop<'a>(&'a [PathBuf], bool);
+    // Cleanup guard, armed before the first file exists: on any error
+    // path below it removes exactly the files this call created.
+    struct RemoveOnDrop<'a> {
+        paths: &'a [PathBuf],
+        created: usize,
+        armed: bool,
+    }
     impl Drop for RemoveOnDrop<'_> {
         fn drop(&mut self) {
-            if self.1 {
-                for p in self.0 {
+            if self.armed {
+                for p in &self.paths[..self.created] {
                     let _ = std::fs::remove_file(p);
                 }
             }
         }
     }
-    let mut guard = RemoveOnDrop(&paths, true);
+    let mut guard = RemoveOnDrop { paths: &paths, created: 0, armed: true };
+    let mut out: Vec<Building> = Vec::with_capacity(shards);
+    for p in &paths {
+        out.push(Building {
+            writer: BufWriter::new(File::create(p)?),
+            num_blocks: 0,
+            global_ids: Vec::new(),
+            records: 0,
+            last_gref: 0,
+        });
+        guard.created += 1;
+    }
 
     const UNSEEN: u32 = u32::MAX;
     let mut interner = BlockInterner::new(geometry);
@@ -232,7 +231,7 @@ where
             records: b.records,
         });
     }
-    guard.1 = false;
+    guard.armed = false;
     Ok(SpilledShards {
         shards: shards_out,
         total_records: index,
@@ -320,7 +319,9 @@ mod tests {
     use super::*;
     use crate::chunk::SliceChunks;
     use crate::gen::{Generator, Profile};
-    use crate::shard::ShardedStream;
+    use crate::shard::ShardedSoa;
+    use crate::soa::SoaStream;
+    use dircc_types::SharingModel;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dircc_spill_{tag}_{}", std::process::id()));
@@ -339,11 +340,9 @@ mod tests {
         let interner = BlockInterner::from_records(&records, geometry);
         let dense = interner.dense_stream(&records);
         let dir = tmpdir("match");
+        let soa = SoaStream::build(&records, &dense, interner.num_blocks(), SharingModel::Process);
         for shards in [1, 2, 3, 8] {
-            let mem =
-                ShardedStream::build(&records, &dense, interner.num_blocks(), shards, |_, gid| {
-                    gid as usize % shards
-                });
+            let mem = ShardedSoa::build(&soa, shards, |_, gid| gid as usize % shards);
             let mut source = SliceChunks::new(&records[..], 257);
             let spilled =
                 spill_shards(&mut source, geometry, shards, &dir, |_, gid| gid as usize % shards)
@@ -351,20 +350,18 @@ mod tests {
             assert_eq!(spilled.num_shards(), shards);
             assert_eq!(spilled.total_records(), records.len() as u64);
             assert_eq!(spilled.total_blocks(), interner.num_blocks());
-            assert_eq!(spilled.shard_blocks(), mem.shard_blocks());
             for (sp, sh) in spilled.shards().iter().zip(mem.shards()) {
                 assert_eq!(sp.global_ids, sh.global_ids);
-                assert_eq!(sp.records, sh.records.len() as u64);
+                assert_eq!(sp.num_blocks, sh.soa.num_blocks);
+                assert_eq!(sp.records, sh.soa.len() as u64);
                 let entries: Vec<SpilledEntry> =
                     sp.entries().unwrap().collect::<io::Result<_>>().unwrap();
-                assert_eq!(entries.len(), sh.records.len());
-                for (e, ((r, &lid), &gref)) in
-                    entries.iter().zip(sh.records.iter().zip(&sh.dense).zip(&sh.global_refs))
-                {
-                    assert_eq!(e.record, *r);
-                    assert_eq!(e.gref, gref);
-                    if r.is_data() {
-                        assert_eq!(e.local_id, lid);
+                assert_eq!(entries.len(), sh.soa.len());
+                for (j, e) in entries.iter().enumerate() {
+                    assert_eq!(e.gref, sh.global_refs[j]);
+                    assert_eq!(e.record, records[(e.gref - 1) as usize]);
+                    if e.record.is_data() {
+                        assert_eq!(e.local_id, sh.soa.block_id[j]);
                     }
                 }
             }
@@ -384,6 +381,23 @@ mod tests {
         assert!(paths.iter().all(|p| p.exists()));
         drop(spilled);
         assert!(paths.iter().all(|p| !p.exists()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_spill_removes_the_files_it_created() {
+        let records = stream();
+        let dir = tmpdir("create_fails");
+        // shard1.dccs cannot be created over a directory: the call fails
+        // after shard0.dccs exists, and must take shard0.dccs with it.
+        std::fs::create_dir_all(dir.join("shard1.dccs")).unwrap();
+        let mut source = SliceChunks::new(&records[..], 1024);
+        let res =
+            spill_shards(&mut source, BlockGeometry::PAPER, 3, &dir, |_, gid| gid as usize % 3);
+        assert!(res.is_err(), "creating shard1.dccs must fail");
+        assert!(!dir.join("shard0.dccs").exists(), "shard0.dccs leaked");
+        assert!(!dir.join("shard2.dccs").exists());
+        assert!(dir.join("shard1.dccs").is_dir(), "a path it did not create is left alone");
         std::fs::remove_dir_all(&dir).ok();
     }
 

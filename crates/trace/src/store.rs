@@ -19,8 +19,8 @@ use crate::filter::exclude_lock_spins;
 use crate::gen::{Generator, Profile};
 use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
-use crate::shard::ShardedStream;
-use crate::soa::{ShardedSoa, SoaStream};
+use crate::shard::ShardedSoa;
+use crate::soa::SoaStream;
 use dircc_types::{BlockGeometry, SharingModel};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,11 +81,6 @@ pub struct TraceStore {
     generations: AtomicU64,
     /// Memoized dense renamings, one per (trace, geometry).
     interners: MemoMap<(usize, BlockGeometry), Arc<BlockInterner>>,
-    /// Memoized per-record dense-id streams, one per (trace, filter, geometry).
-    dense: MemoMap<(usize, usize, BlockGeometry), Arc<[u32]>>,
-    /// Memoized block-sharded partitions, one per
-    /// (trace, filter, geometry, shard count).
-    sharded: MemoMap<(usize, usize, BlockGeometry, usize), Arc<ShardedStream>>,
     /// Memoized structure-of-arrays streams, one per
     /// (trace, filter, geometry, sharing model).
     soa: MemoMap<(usize, usize, BlockGeometry, SharingModel), Arc<SoaStream>>,
@@ -109,8 +104,6 @@ impl TraceStore {
             slots,
             generations: AtomicU64::new(0),
             interners: Mutex::new(HashMap::new()),
-            dense: Mutex::new(HashMap::new()),
-            sharded: Mutex::new(HashMap::new()),
             soa: Mutex::new(HashMap::new()),
             sharded_soa: Mutex::new(HashMap::new()),
         }
@@ -184,69 +177,12 @@ impl TraceStore {
         .clone()
     }
 
-    /// The per-record dense block ids of one (trace, filter) stream under
-    /// `geometry`, aligned one-to-one with
-    /// [`records(trace, filter)`](TraceStore::records). Materialized once
-    /// and shared thereafter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is out of range.
-    pub fn dense_blocks(
-        &self,
-        trace: usize,
-        filter: TraceFilter,
-        geometry: BlockGeometry,
-    ) -> Arc<[u32]> {
-        let cell = {
-            let mut map = self.dense.lock().expect("dense memo poisoned");
-            map.entry((trace, filter.slot(), geometry)).or_default().clone()
-        };
-        cell.get_or_init(|| {
-            let interner = self.interner(trace, geometry);
-            let records = self.records(trace, filter);
-            interner.dense_stream(&records).into()
-        })
-        .clone()
-    }
-
-    /// The block-sharded partition of one (trace, filter) stream under
-    /// `geometry` — `shards` sub-streams routed by `block_id % shards`
-    /// (the infinite-cache router), with shard-local dense ids and global
-    /// reference numbers. Materialized once per (trace, filter, geometry,
-    /// shards) and shared thereafter, alongside the unsharded streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace` is out of range or `shards` is zero.
-    pub fn sharded(
-        &self,
-        trace: usize,
-        filter: TraceFilter,
-        geometry: BlockGeometry,
-        shards: usize,
-    ) -> Arc<ShardedStream> {
-        assert!(shards >= 1, "need at least one shard");
-        let cell = {
-            let mut map = self.sharded.lock().expect("sharded memo poisoned");
-            map.entry((trace, filter.slot(), geometry, shards)).or_default().clone()
-        };
-        cell.get_or_init(|| {
-            let records = self.records(trace, filter);
-            let dense = self.dense_blocks(trace, filter, geometry);
-            let num_blocks = self.interner(trace, geometry).num_blocks();
-            Arc::new(ShardedStream::build(&records, &dense, num_blocks, shards, |_, gid| {
-                gid as usize % shards
-            }))
-        })
-        .clone()
-    }
-
     /// The structure-of-arrays split of one (trace, filter) stream under
     /// `geometry` and `sharing` — flat `kind`/`cache_idx`/`block_id`/
     /// `first_ref` arrays with the sharing-model cache index and address
-    /// math precomputed (see [`SoaStream`]). Materialized once per key and
-    /// shared thereafter.
+    /// math precomputed (see [`SoaStream`]), its dense block ids drawn from
+    /// the trace's [`interner`](TraceStore::interner). Materialized once per
+    /// key and shared thereafter.
     ///
     /// # Panics
     ///
@@ -264,17 +200,18 @@ impl TraceStore {
         };
         cell.get_or_init(|| {
             let records = self.records(trace, filter);
-            let dense = self.dense_blocks(trace, filter, geometry);
-            let num_blocks = self.interner(trace, geometry).num_blocks();
-            Arc::new(SoaStream::build(&records, &dense, num_blocks, sharing))
+            let interner = self.interner(trace, geometry);
+            let dense = interner.dense_stream(&records);
+            Arc::new(SoaStream::build(&records, &dense, interner.num_blocks(), sharing))
         })
         .clone()
     }
 
-    /// The per-shard structure-of-arrays split of one sharded partition
-    /// (see [`TraceStore::sharded`]), aligned one-to-one with its shards.
-    /// Materialized once per (trace, filter, geometry, shards, sharing)
-    /// and shared thereafter.
+    /// The block-sharded partition of one (trace, filter) stream's
+    /// [`soa`](TraceStore::soa) split — `shards` sub-streams routed by
+    /// `block_id % shards` (the infinite-cache router), with shard-local
+    /// dense ids and global reference numbers. Materialized once per
+    /// (trace, filter, geometry, shards, sharing) and shared thereafter.
     ///
     /// # Panics
     ///
@@ -293,8 +230,8 @@ impl TraceStore {
             map.entry((trace, filter.slot(), geometry, shards, sharing)).or_default().clone()
         };
         cell.get_or_init(|| {
-            let sharded = self.sharded(trace, filter, geometry, shards);
-            Arc::new(ShardedSoa::build(&sharded, sharing))
+            let soa = self.soa(trace, filter, geometry, sharing);
+            Arc::new(ShardedSoa::build(&soa, shards, |_, gid| gid as usize % shards))
         })
         .clone()
     }
@@ -379,21 +316,22 @@ mod tests {
     fn sharded_streams_are_memoized_and_partition_the_stream() {
         let s = store();
         let g = BlockGeometry::PAPER;
-        let a = s.sharded(0, TraceFilter::Full, g, 4);
-        let b = s.sharded(0, TraceFilter::Full, g, 4);
+        let p = SharingModel::Process;
+        let a = s.sharded_soa(0, TraceFilter::Full, g, 4, p);
+        let b = s.sharded_soa(0, TraceFilter::Full, g, 4, p);
         assert!(Arc::ptr_eq(&a, &b), "same (trace, filter, shards) shares the partition");
-        let other = s.sharded(0, TraceFilter::Full, g, 2);
+        let other = s.sharded_soa(0, TraceFilter::Full, g, 2, p);
         assert!(!Arc::ptr_eq(&a, &other), "shard count is part of the key");
         assert_eq!(a.total_records(), s.records(0, TraceFilter::Full).len());
         assert_eq!(a.total_blocks(), s.interner(0, g).num_blocks());
         assert_eq!(s.generations(), 1, "sharding reuses the stored stream");
-        // The mod router: every data record's original dense id maps to
+        // The mod router: every data entry's original dense id maps to
         // shard gid % 4, i.e. local ids stride the global id space.
-        let dense = s.dense_blocks(0, TraceFilter::Full, g);
+        let soa = s.soa(0, TraceFilter::Full, g, p);
         for (i, sh) in a.shards().iter().enumerate() {
-            for (r, &g_ref) in sh.records.iter().zip(&sh.global_refs) {
-                if r.is_data() {
-                    assert_eq!(dense[(g_ref - 1) as usize] as usize % 4, i);
+            for (j, &g_ref) in sh.global_refs.iter().enumerate() {
+                if sh.soa.kind[j].is_data() {
+                    assert_eq!(soa.block_id[(g_ref - 1) as usize] as usize % 4, i);
                 }
             }
         }
@@ -415,7 +353,7 @@ mod tests {
         let sh2 = s.sharded_soa(0, TraceFilter::Full, g, 3, SharingModel::Process);
         assert!(Arc::ptr_eq(&sh, &sh2));
         assert_eq!(sh.shards().len(), 3);
-        let total: usize = sh.shards().iter().map(|s| s.len()).sum();
+        let total: usize = sh.shards().iter().map(|s| s.soa.len()).sum();
         assert_eq!(total, a.len());
     }
 
@@ -426,14 +364,12 @@ mod tests {
         let interner = s.interner(1, geometry);
         for f in TraceFilter::ALL {
             let records = s.records(1, f);
-            let dense = s.dense_blocks(1, f, geometry);
-            assert_eq!(dense.len(), records.len());
-            let again = s.dense_blocks(1, f, geometry);
-            assert!(Arc::ptr_eq(&dense, &again), "dense stream is memoized");
-            for (r, &id) in records.iter().zip(dense.iter()) {
+            let soa = s.soa(1, f, geometry, SharingModel::Processor);
+            assert_eq!(soa.len(), records.len());
+            for (r, &id) in records.iter().zip(soa.block_id.iter()) {
                 if r.is_data() {
                     let expect = interner.get(geometry.block_of(r.addr)).unwrap();
-                    assert_eq!(expect.raw(), id);
+                    assert_eq!(expect.raw(), id, "every filter maps through the full interner");
                 }
             }
         }
