@@ -16,6 +16,14 @@ cargo test -q -p dircc-sim --test reference
 # Correctness gate: bounded exhaustive model check of every protocol,
 # plus the serial-vs-sharded replay equivalence check it ends with.
 ./target/release/dircc check --smoke
+# Paper-scale byte-identity gate: `dircc all` at full scale and the
+# default seed prints exactly the pinned bytes (paper_all.stdout_sha256
+# in perfbench/pins.json, read here and never written) at one worker
+# and at two, where the finite-cache studies evict for real.
+PIN=$(python3 -c 'import json; print(json.load(open("perfbench/pins.json"))["paper_all"]["stdout_sha256"])')
+for jobs in 1 2; do
+    test "$(./target/release/dircc all --jobs "$jobs" | sha256sum | cut -d' ' -f1)" = "$PIN"
+done
 # Perf gate: sharded replay throughput report, then compare the
 # deterministic per-run counters against the checked-in baseline
 # (wall-clock drift is reported but never fails). Because the bench runs

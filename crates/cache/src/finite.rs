@@ -9,7 +9,7 @@
 use dircc_types::BlockAddr;
 
 /// Shape of a finite cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FiniteCacheConfig {
     /// Number of sets (power of two).
     pub sets: usize,

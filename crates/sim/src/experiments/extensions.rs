@@ -14,18 +14,15 @@
 //!   capture more spatial locality but invite more false sharing) and the
 //!   transfer costs.
 
-use crate::engine::{run, run_soa, RunConfig};
+use crate::engine::{run, RunConfig};
 use crate::metrics::{mean, Evaluation};
 use crate::par::par_map_indexed;
 use crate::report::{cycles, Table};
-use crate::workbench::{TraceFilter, Workbench};
+use crate::workbench::{TraceFilter, Workbench, Workload};
 use core::fmt;
 use dircc_bus::{BusKind, BusTiming, CostConfig, CostModel};
-#[allow(unused_imports)]
-use dircc_cache as _;
-use dircc_cache::{FiniteCacheConfig, SetAssocCache};
-use dircc_core::{build, EventCounters, ProtocolKind};
-use dircc_obs::NoopRecorder;
+use dircc_cache::FiniteCacheConfig;
+use dircc_core::{build, ProtocolKind};
 use dircc_trace::gen::Profile;
 use dircc_trace::store::TraceStore;
 use dircc_types::BlockGeometry;
@@ -52,55 +49,61 @@ pub struct FiniteCacheStudy {
     pub points: Vec<FiniteCachePoint>,
 }
 
+/// Per-cache capacities (in blocks) of the finite-cache study.
+pub const FINITE_CACHE_CAPACITIES: [usize; 4] = [256, 1024, 4096, 16384];
+
+/// Finite per-cache capacities (in blocks) of the footnote-2 study; the
+/// study adds the infinite-cache point after them.
+pub const FOOTNOTE2_CAPACITIES: [usize; 3] = [256, 1024, 4096];
+
+/// Associativity of every finite cache the extensions simulate.
+const WAYS: usize = 4;
+
+/// The 4-way cache shape of `capacity` blocks.
+fn shape(capacity: usize) -> FiniteCacheConfig {
+    FiniteCacheConfig::with_capacity(capacity, WAYS)
+}
+
+/// Everything [`finite_cache`] reads from the workbench memo: Dir0B's
+/// infinite runs and one replacement-miss scan per capacity.
+pub fn finite_cache_workload() -> Workload {
+    Workload {
+        runs: vec![(ProtocolKind::Dir0B, TraceFilter::Full)],
+        scans: FINITE_CACHE_CAPACITIES.iter().map(|&c| shape(c)).collect(),
+        ..Workload::default()
+    }
+}
+
 /// Measures replacement-miss rates for 4-way set-associative caches of
 /// several capacities and applies the paper's first-order correction.
+///
+/// Reads the workbench's memoized scans
+/// ([`Workbench::replacement_misses`]); warm them in parallel with
+/// [`finite_cache_workload`].
 pub fn finite_cache(wb: &Workbench) -> FiniteCacheStudy {
     let m = CostModel::pipelined();
     let cfg = CostConfig::PAPER;
     let evals = wb.evaluations(ProtocolKind::Dir0B, TraceFilter::Full);
     let dir0b_infinite =
         mean(&evals.iter().map(|e| e.cycles_per_ref(&m, &cfg)).collect::<Vec<_>>());
-
-    let geometry = BlockGeometry::PAPER;
-    let mut points = Vec::new();
-    for capacity in [256usize, 1024, 4096, 16384] {
-        let mut rates = Vec::new();
-        for t in 0..wb.num_traces() {
-            let mut caches: Vec<SetAssocCache<()>> = (0..wb.n_caches())
-                .map(|_| SetAssocCache::new(FiniteCacheConfig::with_capacity(capacity, 4)))
+    let points = FINITE_CACHE_CAPACITIES
+        .iter()
+        .map(|&capacity| {
+            let rates: Vec<f64> = (0..wb.num_traces())
+                .map(|t| {
+                    let total = wb.records(t, TraceFilter::Full).len();
+                    wb.replacement_misses(t, shape(capacity)) as f64 / total as f64
+                })
                 .collect();
-            let mut total = 0u64;
-            let mut replacement_misses = 0u64;
-            let mut seen = std::collections::HashSet::new();
-            // Replays the workbench's shared stream (generated once per
-            // process) rather than re-running the generator.
-            for r in wb.records(t, TraceFilter::Full).iter().copied() {
-                total += 1;
-                if !r.is_data() {
-                    continue;
-                }
-                let cache = &mut caches[usize::from(r.pid.raw()) % wb.n_caches()];
-                let block = geometry.block_of(r.addr);
-                if cache.get(block).is_none() {
-                    cache.insert(block, ());
-                    // A miss that an infinite cache would NOT have had
-                    // (the block was seen by this cache before) is a
-                    // replacement miss.
-                    if !seen.insert((r.pid.raw(), block)) {
-                        replacement_misses += 1;
-                    }
-                }
+            let replacement_miss_rate = mean(&rates);
+            FiniteCachePoint {
+                capacity_blocks: capacity,
+                replacement_miss_rate,
+                dir0b_cycles_corrected: dir0b_infinite
+                    + replacement_miss_rate * f64::from(m.mem_access),
             }
-            rates.push(replacement_misses as f64 / total as f64);
-        }
-        let replacement_miss_rate = mean(&rates);
-        points.push(FiniteCachePoint {
-            capacity_blocks: capacity,
-            replacement_miss_rate,
-            dir0b_cycles_corrected: dir0b_infinite
-                + replacement_miss_rate * f64::from(m.mem_access),
-        });
-    }
+        })
+        .collect();
     FiniteCacheStudy { dir0b_infinite, points }
 }
 
@@ -334,50 +337,61 @@ pub struct Footnote2Study {
     pub points: Vec<Footnote2Point>,
 }
 
+/// The two schemes footnote 2 compares: Dir0B, and Dragon, which never
+/// invalidates and so measures the native (non-coherence) miss rate.
+const FOOTNOTE2_KINDS: [ProtocolKind; 2] = [ProtocolKind::Dir0B, ProtocolKind::Dragon];
+
+/// Everything [`footnote2`] reads from the workbench memo: both schemes'
+/// infinite runs and their finite replays at every capacity.
+pub fn footnote2_workload() -> Workload {
+    Workload {
+        runs: FOOTNOTE2_KINDS.iter().map(|&k| (k, TraceFilter::Full)).collect(),
+        finite_runs: FOOTNOTE2_CAPACITIES
+            .iter()
+            .flat_map(|&c| FOOTNOTE2_KINDS.map(|k| (k, shape(c))))
+            .collect(),
+        ..Workload::default()
+    }
+}
+
 /// Runs Dir0B through genuinely finite caches (protocol evictions and
 /// all), not just the first-order miss-count correction.
 ///
-/// The finite points replay the store's memoized structure-of-arrays
-/// stream; the infinite point is the workbench's own memoized run.
+/// Every point reads the workbench memo: the finite points are
+/// [`Workbench::finite_counters`] replays, the infinite point the
+/// workbench's own runs. Warm them in parallel with
+/// [`footnote2_workload`].
 pub fn footnote2(wb: &Workbench) -> Footnote2Study {
-    use dircc_cache::FiniteCacheConfig;
-    let infinite = RunConfig::default().with_process_sharing();
-    let mut points = Vec::new();
-    for cap in [Some(256), Some(1024), Some(4096), None] {
-        let mut coherence = Vec::new();
-        let mut total = Vec::new();
-        let mut wbs = Vec::new();
-        for t in 0..wb.num_traces() {
-            let miss_pct = |kind: ProtocolKind| -> (f64, f64) {
-                let rates = |c: &EventCounters| {
+    let caps = FOOTNOTE2_CAPACITIES.iter().map(|&c| Some(c)).chain([None]);
+    let points = caps
+        .map(|cap| {
+            let mut coherence = Vec::new();
+            let mut total = Vec::new();
+            let mut wbs = Vec::new();
+            for t in 0..wb.num_traces() {
+                let miss_pct = |kind: ProtocolKind| -> (f64, f64) {
+                    let c = match cap {
+                        Some(capacity) => wb.finite_counters(kind, t, shape(capacity)),
+                        None => wb.counters(kind, t, TraceFilter::Full),
+                    };
                     (c.pct(c.rm() + c.wm()), 1000.0 * c.cache_evictions() as f64 / c.total() as f64)
                 };
-                let Some(capacity) = cap else {
-                    return rates(&wb.counters(kind, t, TraceFilter::Full));
-                };
-                let cfg =
-                    infinite.with_finite_caches(FiniteCacheConfig::with_capacity(capacity, 4));
-                let records = wb.records(t, TraceFilter::Full);
-                let soa = wb.store().soa(t, TraceFilter::Full, cfg.geometry, cfg.sharing);
-                let result = run_soa(kind, wb.n_caches(), &records, &soa, &cfg, &mut NoopRecorder)
-                    .expect("footnote2 replay");
-                rates(&result.counters)
-            };
-            let (dir0b_miss, evictions) = miss_pct(ProtocolKind::Dir0B);
-            // Dragon never invalidates: its miss rate is the native
-            // (non-coherence) rate under the same cache shape.
-            let (dragon_miss, _) = miss_pct(ProtocolKind::Dragon);
-            coherence.push((dir0b_miss - dragon_miss).max(0.0));
-            total.push(dir0b_miss);
-            wbs.push(evictions);
-        }
-        points.push(Footnote2Point {
-            capacity_blocks: cap,
-            coherence_miss_pct: mean(&coherence),
-            total_miss_pct: mean(&total),
-            eviction_wb_per_kref: mean(&wbs),
-        });
-    }
+                let (dir0b_miss, evictions) = miss_pct(ProtocolKind::Dir0B);
+                // Dragon never invalidates: its miss rate is the native
+                // (non-coherence) rate under the same cache shape.
+                let (dragon_miss, _) = miss_pct(ProtocolKind::Dragon);
+                coherence.push((dir0b_miss - dragon_miss).max(0.0));
+                total.push(dir0b_miss);
+                wbs.push(evictions);
+            }
+            Footnote2Point {
+                capacity_blocks: cap,
+                coherence_miss_pct: mean(&coherence),
+                total_miss_pct: mean(&total),
+                eviction_wb_per_kref: mean(&wbs),
+            }
+        })
+        .collect();
     Footnote2Study { points }
 }
 

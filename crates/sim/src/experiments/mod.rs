@@ -35,3 +35,16 @@ pub mod network;
 pub mod studies;
 pub mod system;
 pub mod tables;
+
+use crate::workbench::{Workbench, Workload};
+
+/// Everything the full paper pipeline (`dircc all`) reads from the
+/// workbench memo: the infinite-cache runs of
+/// [`Workbench::paper_workload`], Table 3's trace statistics, and both
+/// finite-cache studies' scans and replays — the task list one
+/// [`Workbench::warm_workload`] pool runs before rendering.
+pub fn paper_all_workload(wb: &Workbench) -> Workload {
+    Workload { stats: true, ..Workload::runs(&wb.paper_workload()) }
+        .merge(extensions::finite_cache_workload())
+        .merge(extensions::footnote2_workload())
+}

@@ -65,5 +65,5 @@ pub use service::{
     LoadReport, WorkbenchHandler,
 };
 pub use workbench::{
-    filter_from_label, filter_label, RunSeries, RunTiming, TraceFilter, Workbench,
+    filter_from_label, filter_label, RunSeries, RunTiming, TraceFilter, Workbench, Workload,
 };

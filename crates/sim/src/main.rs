@@ -60,11 +60,11 @@ use dircc_obs::{
     RunMeta, Sample,
 };
 use dircc_serve::{client, JobHandler, ServeConfig, Server};
-use dircc_sim::experiments::{extensions, figures, network, studies, system, tables};
+use dircc_sim::experiments::{self, extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
     run_chunked, run_response_json, run_sharded, run_soa, run_spilled, shard_stream, spill_sharded,
-    Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler,
+    Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler, Workload,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -828,18 +828,20 @@ fn sharing(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The (protocol, filter) runs a workbench command needs, for pre-warming
-/// the memo in parallel. `None` means "cheap enough to run inline".
-fn workload_for(command: &str, wb: &Workbench) -> Option<Vec<(ProtocolKind, TraceFilter)>> {
+/// The memo entries a workbench command reads, for pre-warming them in
+/// one job pool. `None` means "cheap enough to run inline".
+fn workload_for(command: &str, wb: &Workbench) -> Option<Workload> {
     match command {
-        "all" => Some(wb.paper_workload()),
+        "all" => Some(experiments::paper_all_workload(wb)),
+        "finitecache" => Some(extensions::finite_cache_workload()),
+        "footnote2" => Some(extensions::footnote2_workload()),
         "scalability" => {
             let n = wb.n_caches() as u32;
             let mut work = vec![(ProtocolKind::Dir0B, TraceFilter::Full)];
             work.extend((1..=n).map(|i| (ProtocolKind::DirNb { pointers: i }, TraceFilter::Full)));
             work.extend((1..n).map(|i| (ProtocolKind::DirB { pointers: i }, TraceFilter::Full)));
             work.push((ProtocolKind::CodedSet, TraceFilter::Full));
-            Some(work)
+            Some(Workload::runs(&work))
         }
         _ => None,
     }
@@ -876,7 +878,7 @@ fn run_experiment(command: &str, wb: &Workbench) -> Result<String, String> {
 fn run_workbench_command(args: &Args, all: bool) -> Result<(), String> {
     let wb = workbench(args);
     if let Some(work) = workload_for(&args.command, &wb) {
-        wb.warm(&work, args.jobs);
+        wb.warm_workload(&work, args.jobs);
     }
     let result = if all {
         let mut err = None;
@@ -1674,7 +1676,7 @@ fn profile_workload(
     match target {
         "all" | "bench" => Ok(wb.paper_workload()),
         "scaling" | "scalability" => {
-            Ok(workload_for("scalability", wb).expect("scalability has a workload"))
+            Ok(workload_for("scalability", wb).expect("scalability has a workload").runs)
         }
         "headline" => Ok(wb.paper_kinds().into_iter().map(|k| (k, TraceFilter::Full)).collect()),
         other => Err(format!(

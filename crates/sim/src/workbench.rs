@@ -1,31 +1,39 @@
 //! The workbench: generates the three synthetic traces and memoizes one
-//! simulation run per (protocol, trace, filter) triple.
+//! simulation run per (protocol, trace, filter) triple — plus the
+//! finite-cache replays and scans and the trace statistics the
+//! extensions and Table 3 read.
 //!
 //! Every experiment shares a workbench so that, exactly as in the paper,
 //! each protocol's event frequencies are measured once and then re-priced
 //! under as many hardware models as needed.
 //!
 //! The workbench is `Send + Sync`: traces are materialized once into a
-//! shared [`TraceStore`] and every memoized run sits behind a per-key
-//! [`OnceLock`], so the (protocol × trace × filter) matrix can be fanned
-//! out over threads with [`Workbench::warm`] while later lookups stay
+//! shared [`TraceStore`] and every memoized result sits behind a per-key
+//! [`OnceLock`], so a command's whole [`Workload`] can be run as one job
+//! pool with [`Workbench::warm_workload`] while later lookups stay
 //! lock-free reads of the same `Arc`s. Results are deterministic: a run's
-//! counters depend only on (profile, seed, protocol, filter), never on
-//! which thread computed them or in what order.
+//! counters depend only on (profile, seed, protocol, filter, cache
+//! shape), never on which thread computed them or in what order.
 //!
 //! # Observability
 //!
-//! Every actually-executed run records its internal phases (`generate`,
-//! `filter`, `intern`, `replay`) into a shared [`SpanLog`] — the single
-//! timing path: the per-run wall-clock summary ([`Workbench::timings`],
-//! [`Workbench::timing_summary`]) is derived from the `replay` spans, and
-//! the whole log exports as Chrome trace-event JSON via `dircc profile`.
-//! With [`Workbench::with_window`], each run additionally samples counter
-//! deltas every K references into a [`RunSeries`]; the replay itself then
-//! uses a [`WindowedRecorder`], but counters stay bit-identical (pinned
-//! by tests and the `benchcmp` gate). With [`Workbench::with_shards`],
-//! each replay is block-sharded across worker threads and the log gains
-//! one `replay-shard` span per shard (shard-id tagged) nested under the
+//! Work lands in a shared [`SpanLog`]: per trace, one `generate`, one
+//! `filter` and one `intern` span from its materialization (recorded by
+//! the thread that did it; near zero on a workbench over a warm store);
+//! per executed run one `replay` span (`finite-replay` for finite-cache
+//! runs), per scan one `finite-scan` and per statistics pass one `stats`
+//! span. The log is the single timing path: the per-run wall-clock
+//! summary ([`Workbench::timings`], [`Workbench::timing_summary`]) and
+//! the work counters ([`Workbench::executed_runs`],
+//! [`Workbench::finite_runs`], [`Workbench::finite_scans`]) are derived
+//! from it, and it exports as Chrome trace-event JSON via `dircc
+//! profile`. With [`Workbench::with_window`], each run additionally
+//! samples counter deltas every K references into a [`RunSeries`]; the
+//! replay itself then uses a [`WindowedRecorder`], but counters stay
+//! bit-identical (pinned by tests and the `benchcmp` gate). With
+//! [`Workbench::with_shards`], each infinite-cache replay is
+//! block-sharded across worker threads and the log gains one
+//! `replay-shard` span per shard (shard-id tagged) nested under the
 //! run's `replay` span; windowed runs pin shards to 1 (a window is a
 //! slice of the global reference stream).
 //!
@@ -35,13 +43,16 @@
 
 use crate::engine::{run_sharded, run_soa, RunConfig};
 use crate::metrics::Evaluation;
+use crate::par::par_map_indexed;
+use dircc_cache::{FiniteCacheConfig, Lookup, SetAssocCache};
 use dircc_core::{EventCounters, ProtocolKind};
 use dircc_obs::{NoopRecorder, RunMeta, SpanLog, WindowSample, WindowedRecorder};
 use dircc_trace::gen::Profile;
+use dircc_trace::soa::SoaStream;
 use dircc_trace::stats::TraceStats;
 use dircc_trace::store::TraceStore;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -52,6 +63,75 @@ struct MemoKey {
     kind: ProtocolKind,
     trace: usize,
     filter: TraceFilter,
+    /// Finite tag-store shape (`None` = infinite caches, the paper's model).
+    cache: Option<FiniteCacheConfig>,
+}
+
+/// A mutex-guarded map of memo cells: the cell is cloned out under the
+/// lock and initialized outside it, so builders never serialize.
+type MemoMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// The memo cell for `key`, created empty on first request.
+fn memo_cell<K: Hash + Eq, V>(map: &MemoMap<K, V>, key: K) -> Arc<OnceLock<V>> {
+    Arc::clone(map.lock().expect("memo poisoned").entry(key).or_default())
+}
+
+/// What one trace has been brought up to on this workbench: generated,
+/// and split for which filters. The mutex also serializes a trace's
+/// materialization, so its phase spans are recorded exactly once, by the
+/// thread that did the work.
+#[derive(Debug, Default)]
+struct Materialized {
+    generated: bool,
+    filters: Vec<TraceFilter>,
+}
+
+/// Everything a command reads from the workbench memo, warmed in one job
+/// pool by [`Workbench::warm_workload`]. Each entry applies to every
+/// trace.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Workload {
+    /// Infinite-cache runs (the paper's model).
+    pub runs: Vec<(ProtocolKind, TraceFilter)>,
+    /// Finite-cache replays of the full traces
+    /// ([`Workbench::finite_counters`]).
+    pub finite_runs: Vec<(ProtocolKind, FiniteCacheConfig)>,
+    /// Replacement-miss scans of the full traces
+    /// ([`Workbench::replacement_misses`]).
+    pub scans: Vec<FiniteCacheConfig>,
+    /// Whether the per-trace reference statistics
+    /// ([`Workbench::trace_stats`]) are needed.
+    pub stats: bool,
+}
+
+impl Workload {
+    /// A workload of infinite-cache runs only.
+    pub fn runs(runs: &[(ProtocolKind, TraceFilter)]) -> Self {
+        Workload { runs: runs.to_vec(), ..Workload::default() }
+    }
+
+    /// This workload plus everything in `other`.
+    #[must_use]
+    pub fn merge(mut self, other: Workload) -> Self {
+        self.runs.extend(other.runs);
+        self.finite_runs.extend(other.finite_runs);
+        self.scans.extend(other.scans);
+        self.stats |= other.stats;
+        self
+    }
+}
+
+/// One unit of work of the warm-up pool.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Task {
+    /// Generate → filter → intern/SoA for one trace.
+    Materialize { trace: usize, filters: Vec<TraceFilter> },
+    /// One memoized replay, infinite or finite.
+    Run(MemoKey),
+    /// One memoized replacement-miss scan.
+    Scan { trace: usize, cache: FiniteCacheConfig },
+    /// One trace's memoized reference statistics.
+    Stats { trace: usize },
 }
 
 /// The stable label a [`TraceFilter`] carries in reports, span metadata
@@ -123,8 +203,10 @@ impl RunTiming {
 #[derive(Debug)]
 pub struct Workbench {
     store: Arc<TraceStore>,
-    memo: Mutex<HashMap<MemoKey, Arc<OnceLock<Arc<EventCounters>>>>>,
-    stats_memo: Mutex<HashMap<usize, Arc<OnceLock<Arc<TraceStats>>>>>,
+    materialized: Vec<Mutex<Materialized>>,
+    memo: MemoMap<MemoKey, Arc<EventCounters>>,
+    scan_memo: MemoMap<(usize, FiniteCacheConfig), u64>,
+    stats_memo: MemoMap<usize, Arc<TraceStats>>,
     spans: SpanLog,
     window: Option<u64>,
     shards: usize,
@@ -168,8 +250,10 @@ impl Workbench {
     pub fn with_store(store: Arc<TraceStore>) -> Self {
         assert!(store.num_traces() > 0, "need at least one trace profile");
         Workbench {
+            materialized: (0..store.num_traces()).map(|_| Mutex::default()).collect(),
             store,
             memo: Mutex::new(HashMap::new()),
+            scan_memo: Mutex::new(HashMap::new()),
             stats_memo: Mutex::new(HashMap::new()),
             spans: SpanLog::new(),
             window: None,
@@ -253,21 +337,80 @@ impl Workbench {
         self.store.records(trace, filter)
     }
 
+    /// Span metadata for one phase of work on `trace`; `scheme` is empty
+    /// for per-trace phases that serve every run.
+    fn meta(&self, scheme: &str, trace: usize, filter: &str, refs: u64) -> Option<RunMeta> {
+        Some(RunMeta {
+            scheme: scheme.to_string(),
+            trace: self.store.profiles()[trace].name.to_string(),
+            filter: filter.to_string(),
+            refs,
+            shard: None,
+            request: None,
+        })
+    }
+
+    /// Whether infinite-cache replays are block-sharded.
+    fn sharding(&self) -> bool {
+        self.shards > 1 && self.window.is_none()
+    }
+
+    /// Brings one trace up for `filters`: generate → filter → intern/SoA
+    /// (sharded too when replays shard), one span per phase, recorded
+    /// once per workbench by the thread that did the work. The store does
+    /// each piece of work once per process, so on a workbench over an
+    /// already-warm store the spans are near zero. Runs, scans and stats
+    /// call this first; the warm-up pool runs it as a task of its own per
+    /// trace, ahead of the trace's other work.
+    fn materialize(&self, trace: usize, filters: &[TraceFilter]) {
+        let mut done = self.materialized[trace].lock().expect("materialization poisoned");
+        let missing: Vec<TraceFilter> =
+            filters.iter().copied().filter(|f| !done.filters.contains(f)).collect();
+        if done.generated && missing.is_empty() {
+            return;
+        }
+        let timer = self.spans.start();
+        let full = self.store.records(trace, TraceFilter::Full);
+        let meta = self.meta("", trace, filter_label(TraceFilter::Full), full.len() as u64);
+        self.spans.finish(timer, "generate", meta);
+        done.generated = true;
+        if missing.is_empty() {
+            return;
+        }
+        let labels: Vec<&str> = missing.iter().map(|&f| filter_label(f)).collect();
+        let labels = labels.join("+");
+        let timer = self.spans.start();
+        let refs: u64 = missing.iter().map(|&f| self.store.records(trace, f).len() as u64).sum();
+        self.spans.finish(timer, "filter", self.meta("", trace, &labels, refs));
+        let cfg = RunConfig::default().with_process_sharing();
+        self.spans.time("intern", self.meta("", trace, &labels, refs), || {
+            for &f in &missing {
+                if self.sharding() {
+                    let _ =
+                        self.store.sharded_soa(trace, f, cfg.geometry, self.shards, cfg.sharing);
+                } else {
+                    let _ = self.store.soa(trace, f, cfg.geometry, cfg.sharing);
+                }
+            }
+        });
+        done.filters.extend(missing);
+    }
+
     /// Reference-stream statistics of one trace (memoized).
     ///
     /// # Panics
     ///
     /// Panics if `trace` is out of range.
     pub fn trace_stats(&self, trace: usize) -> Arc<TraceStats> {
-        let cell = {
-            let mut memo = self.stats_memo.lock().expect("stats memo poisoned");
-            Arc::clone(memo.entry(trace).or_default())
-        };
-        cell.get_or_init(|| {
-            let records = self.store.records(trace, TraceFilter::Full);
-            Arc::new(records.iter().collect::<TraceStats>())
-        })
-        .clone()
+        memo_cell(&self.stats_memo, trace)
+            .get_or_init(|| {
+                self.materialize(trace, &[]);
+                let records = self.store.records(trace, TraceFilter::Full);
+                let meta =
+                    self.meta("", trace, filter_label(TraceFilter::Full), records.len() as u64);
+                self.spans.time("stats", meta, || Arc::new(records.iter().collect::<TraceStats>()))
+            })
+            .clone()
     }
 
     /// Event frequencies for one protocol on one trace (memoized; this is
@@ -287,85 +430,124 @@ impl Workbench {
         trace: usize,
         filter: TraceFilter,
     ) -> Arc<EventCounters> {
-        let key = MemoKey { kind, trace, filter };
-        let cell = {
-            let mut memo = self.memo.lock().expect("memo poisoned");
-            Arc::clone(memo.entry(key).or_default())
-        };
-        cell.get_or_init(|| {
-            // The paper classifies sharing per process ("a block is
-            // considered shared only if it is accessed by more than one
-            // process"), which excludes migration-induced sharing from the
-            // study.
-            let cfg = RunConfig::default().with_process_sharing();
-            let scheme = kind.display_name(self.n_caches());
-            let trace_name = self.store.profiles()[trace].name.to_string();
-            let meta = |refs: u64| RunMeta {
-                scheme: scheme.clone(),
-                trace: trace_name.clone(),
-                filter: filter_label(filter).to_string(),
-                refs,
-                shard: None,
-                request: None,
+        self.memoized(MemoKey { kind, trace, filter, cache: None })
+    }
+
+    /// Event frequencies for one protocol on one full trace replayed
+    /// through finite per-cache tag stores of shape `cache` (memoized
+    /// like [`counters`](Self::counters); the §4 / footnote-2 finite-cache
+    /// extension). Finite runs replay serially, are not windowed, and
+    /// count in [`finite_runs`](Self::finite_runs), never in
+    /// [`executed_runs`](Self::executed_runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` is out of range or the replay fails.
+    pub fn finite_counters(
+        &self,
+        kind: ProtocolKind,
+        trace: usize,
+        cache: FiniteCacheConfig,
+    ) -> Arc<EventCounters> {
+        self.memoized(MemoKey { kind, trace, filter: TraceFilter::Full, cache: Some(cache) })
+    }
+
+    fn memoized(&self, key: MemoKey) -> Arc<EventCounters> {
+        memo_cell(&self.memo, key).get_or_init(|| Arc::new(self.replay(key))).clone()
+    }
+
+    /// Executes one memo miss: the replay behind [`counters`](Self::counters)
+    /// or [`finite_counters`](Self::finite_counters).
+    fn replay(&self, key: MemoKey) -> EventCounters {
+        let MemoKey { kind, trace, filter, cache } = key;
+        // The paper classifies sharing per process ("a block is
+        // considered shared only if it is accessed by more than one
+        // process"), which excludes migration-induced sharing from the
+        // study.
+        let infinite = RunConfig::default().with_process_sharing();
+        let scheme = kind.display_name(self.n_caches());
+        let trace_name = self.store.profiles()[trace].name.to_string();
+        let meta = |refs: u64| self.meta(&scheme, trace, filter_label(filter), refs);
+        self.materialize(trace, &[filter]);
+        let records = self.store.records(trace, filter);
+        let n = self.n_caches();
+        if let Some(cache) = cache {
+            let cfg = infinite.with_finite_caches(cache);
+            let soa = self.store.soa(trace, filter, cfg.geometry, cfg.sharing);
+            let timer = self.spans.start();
+            let result = run_soa(kind, n, &records, &soa, &cfg, &mut NoopRecorder)
+                .expect("finite-cache replay failed");
+            self.spans.finish(timer, "finite-replay", meta(result.refs));
+            return result.counters;
+        }
+        let cfg = infinite;
+        // The trace is materialized, so the store lookups below are
+        // memo hits and the replay span measures replay work only.
+        let timer;
+        let result = if self.sharding() {
+            let sharded =
+                self.store.sharded_soa(trace, filter, cfg.geometry, self.shards, cfg.sharing);
+            timer = self.spans.start();
+            let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs| {
+                self.spans.record_at(
+                    "replay-shard",
+                    at,
+                    dur,
+                    meta(refs).map(|m| RunMeta { shard: Some(shard), ..m }),
+                );
             };
-            // Phase spans wrap the store calls even when they hit warm
-            // memos (duration ~0 then), so every executed run contributes
-            // all four phases to the exported trace.
-            let _ = self
-                .spans
-                .time("generate", Some(meta(0)), || self.store.records(trace, TraceFilter::Full));
-            let records =
-                self.spans.time("filter", Some(meta(0)), || self.store.records(trace, filter));
-            // The store interns each trace once and memoizes the
-            // structure-of-arrays split (and, sharded, its partition), so
-            // the replay span below measures replay work only.
-            let n = self.n_caches();
-            let sharding = self.shards > 1 && self.window.is_none();
-            let timer;
-            let result = if sharding {
-                let sharded = self.spans.time("intern", Some(meta(0)), || {
-                    self.store.sharded_soa(trace, filter, cfg.geometry, self.shards, cfg.sharing)
-                });
-                timer = self.spans.start();
-                let observe = |shard: usize, at: std::time::Instant, dur: Duration, refs| {
-                    self.spans.record_at(
-                        "replay-shard",
-                        at,
-                        dur,
-                        Some(RunMeta { shard: Some(shard), ..meta(refs) }),
-                    );
-                };
-                run_sharded(kind, n, &records, &sharded, &cfg, observe)
-            } else {
-                let soa = self.spans.time("intern", Some(meta(0)), || {
-                    self.store.soa(trace, filter, cfg.geometry, cfg.sharing)
-                });
-                timer = self.spans.start();
-                match self.window {
-                    None => run_soa(kind, n, &records, &soa, &cfg, &mut NoopRecorder),
-                    Some(window) => {
-                        let mut recorder = WindowedRecorder::new(window);
-                        let result = run_soa(kind, n, &records, &soa, &cfg, &mut recorder);
-                        if let Ok(res) = &result {
-                            self.series.lock().expect("series poisoned").push(RunSeries {
-                                kind,
-                                scheme: scheme.clone(),
-                                trace,
-                                trace_name: trace_name.clone(),
-                                filter,
-                                refs: res.refs,
-                                windows: recorder.into_samples(),
-                            });
-                        }
-                        result
+            run_sharded(kind, n, &records, &sharded, &cfg, observe)
+        } else {
+            let soa = self.store.soa(trace, filter, cfg.geometry, cfg.sharing);
+            timer = self.spans.start();
+            match self.window {
+                None => run_soa(kind, n, &records, &soa, &cfg, &mut NoopRecorder),
+                Some(window) => {
+                    let mut recorder = WindowedRecorder::new(window);
+                    let result = run_soa(kind, n, &records, &soa, &cfg, &mut recorder);
+                    if let Ok(res) = &result {
+                        self.series.lock().expect("series poisoned").push(RunSeries {
+                            kind,
+                            scheme: scheme.clone(),
+                            trace,
+                            trace_name,
+                            filter,
+                            refs: res.refs,
+                            windows: recorder.into_samples(),
+                        });
                     }
+                    result
                 }
             }
-            .expect("trace replay failed");
-            self.spans.finish(timer, "replay", Some(meta(result.refs)));
-            Arc::new(result.counters)
+        }
+        .expect("trace replay failed");
+        self.spans.finish(timer, "replay", meta(result.refs));
+        result.counters
+    }
+
+    /// Replacement misses of one full trace through finite per-cache tag
+    /// stores of shape `cache` (memoized): misses an infinite cache would
+    /// not have had, because the missing process had brought the block in
+    /// before. References go to cache `pid % n_caches`. The tag stores
+    /// are keyed on the original block address (so set selection follows
+    /// the address), while "seen before" is a per-process bitset over the
+    /// trace's dense block ids. Scans count in
+    /// [`finite_scans`](Self::finite_scans).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` is out of range.
+    pub fn replacement_misses(&self, trace: usize, cache: FiniteCacheConfig) -> u64 {
+        *memo_cell(&self.scan_memo, (trace, cache)).get_or_init(|| {
+            self.materialize(trace, &[TraceFilter::Full]);
+            let cfg = RunConfig::default().with_process_sharing();
+            let records = self.store.records(trace, TraceFilter::Full);
+            let soa = self.store.soa(trace, TraceFilter::Full, cfg.geometry, cfg.sharing);
+            let meta = self.meta("", trace, filter_label(TraceFilter::Full), records.len() as u64);
+            self.spans.time("finite-scan", meta, || {
+                scan_replacement_misses(&records, &soa, self.n_caches(), cache, cfg.geometry)
+            })
         })
-        .clone()
     }
 
     /// The shared span log — every phase of every executed run.
@@ -416,9 +598,9 @@ impl Workbench {
         ]
     }
 
-    /// Every (protocol, filter) pair the full paper pipeline (`dircc all`)
-    /// measures, in paper order — the work list [`Workbench::warm`] fans
-    /// out.
+    /// Every infinite-cache (protocol, filter) pair the full paper
+    /// pipeline (`dircc all`) measures, in paper order — the runs of
+    /// [`crate::experiments::paper_all_workload`].
     pub fn paper_workload(&self) -> Vec<(ProtocolKind, TraceFilter)> {
         let n = self.n_caches() as u32;
         let mut work: Vec<(ProtocolKind, TraceFilter)> = Vec::new();
@@ -447,7 +629,8 @@ impl Workbench {
 
     /// Fans the (protocol × trace × filter) counter matrix out over
     /// `jobs` worker threads, filling the memo so later experiment code
-    /// hits warm caches only.
+    /// hits warm caches only — [`warm_workload`](Self::warm_workload)
+    /// over infinite-cache runs alone.
     ///
     /// Deterministic: counters depend only on (profile, seed, protocol,
     /// filter), so `jobs = 1` and `jobs = 8` produce bit-identical
@@ -456,50 +639,106 @@ impl Workbench {
     ///
     /// Returns the number of runs actually executed (cache misses).
     pub fn warm(&self, kinds: &[(ProtocolKind, TraceFilter)], jobs: usize) -> usize {
-        let jobs = jobs.max(1);
-        // Work items: every (kind, filter) × trace, deduped preserving order.
-        let mut items: Vec<(ProtocolKind, usize, TraceFilter)> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for &(kind, filter) in kinds {
-            for trace in 0..self.num_traces() {
-                if seen.insert((kind, trace, filter)) {
-                    items.push((kind, trace, filter));
-                }
-            }
-        }
+        self.warm_workload(&Workload::runs(kinds), jobs)
+    }
+
+    /// Runs every piece of work `workload` names in one job pool of
+    /// `jobs` workers, filling the memos the experiments then read.
+    ///
+    /// The task list, in pool order: one materialization per trace
+    /// (generate → filter → intern/SoA), then the heaviest items first —
+    /// finite-cache replays, replacement-miss scans, trace statistics,
+    /// infinite-cache runs — each tier trace by trace, so a worker rarely
+    /// picks an item whose trace is still being materialized. Results do
+    /// not depend on `jobs` or on the schedule.
+    ///
+    /// Returns the number of infinite-cache runs actually executed (as
+    /// [`warm`](Self::warm) does); finite work is counted by
+    /// [`finite_runs`](Self::finite_runs) and
+    /// [`finite_scans`](Self::finite_scans).
+    pub fn warm_workload(&self, workload: &Workload, jobs: usize) -> usize {
+        let tasks = self.plan(workload);
         let before = self.executed_runs();
-        // Materialize traces first so workers contend on simulation only,
-        // not on the store's per-trace OnceLocks.
-        for trace in 0..self.num_traces() {
-            let filters: Vec<TraceFilter> =
-                items.iter().filter(|(_, t, _)| *t == trace).map(|(_, _, f)| *f).collect();
-            for f in filters {
-                let _ = self.store.records(trace, f);
-            }
-        }
-        if jobs == 1 || items.len() <= 1 {
-            for (kind, trace, filter) in items {
-                let _ = self.counters(kind, trace, filter);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let items = &items;
-            std::thread::scope(|scope| {
-                for _ in 0..jobs.min(items.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(kind, trace, filter)) = items.get(i) else { break };
-                        let _ = self.counters(kind, trace, filter);
-                    });
-                }
-            });
-        }
+        par_map_indexed(tasks.len(), jobs, |i| self.execute(&tasks[i]));
         self.executed_runs() - before
     }
 
+    /// The deduplicated task list of `workload`, in pool order.
+    fn plan(&self, workload: &Workload) -> Vec<Task> {
+        if *workload == Workload::default() {
+            return Vec::new();
+        }
+        let finite_work = !workload.finite_runs.is_empty() || !workload.scans.is_empty();
+        let filters: Vec<TraceFilter> = TraceFilter::ALL
+            .into_iter()
+            .filter(|&f| {
+                (f == TraceFilter::Full && finite_work)
+                    || workload.runs.iter().any(|&(_, rf)| rf == f)
+            })
+            .collect();
+        let traces = 0..self.num_traces();
+        let mut tasks: Vec<Task> = traces
+            .clone()
+            .map(|trace| Task::Materialize { trace, filters: filters.clone() })
+            .collect();
+        for trace in traces.clone() {
+            tasks.extend(workload.finite_runs.iter().map(|&(kind, cache)| {
+                Task::Run(MemoKey { kind, trace, filter: TraceFilter::Full, cache: Some(cache) })
+            }));
+        }
+        for trace in traces.clone() {
+            tasks.extend(workload.scans.iter().map(|&cache| Task::Scan { trace, cache }));
+            if workload.stats {
+                tasks.push(Task::Stats { trace });
+            }
+        }
+        for trace in traces {
+            tasks.extend(
+                workload
+                    .runs
+                    .iter()
+                    .map(|&(kind, filter)| Task::Run(MemoKey { kind, trace, filter, cache: None })),
+            );
+        }
+        let mut seen = HashSet::new();
+        tasks.retain(|t| seen.insert(t.clone()));
+        tasks
+    }
+
+    fn execute(&self, task: &Task) {
+        match *task {
+            Task::Materialize { trace, ref filters } => self.materialize(trace, filters),
+            Task::Run(key) => {
+                let _ = self.memoized(key);
+            }
+            Task::Scan { trace, cache } => {
+                let _ = self.replacement_misses(trace, cache);
+            }
+            Task::Stats { trace } => {
+                let _ = self.trace_stats(trace);
+            }
+        }
+    }
+
     /// Number of simulation runs actually executed so far (memo misses).
+    /// Finite-cache replays are not included; see
+    /// [`finite_runs`](Self::finite_runs).
     pub fn executed_runs(&self) -> usize {
-        self.spans.spans().iter().filter(|s| s.name == "replay").count()
+        self.count_spans("replay")
+    }
+
+    /// Number of finite-cache replays actually executed so far.
+    pub fn finite_runs(&self) -> usize {
+        self.count_spans("finite-replay")
+    }
+
+    /// Number of replacement-miss scans actually executed so far.
+    pub fn finite_scans(&self) -> usize {
+        self.count_spans("finite-scan")
+    }
+
+    fn count_spans(&self, name: &str) -> usize {
+        self.spans.spans().iter().filter(|s| s.name == name).count()
     }
 
     /// Snapshot of per-run wall-clock timings, in completion order,
@@ -567,6 +806,43 @@ impl Workbench {
         );
         out
     }
+}
+
+/// The replacement-miss count behind [`Workbench::replacement_misses`]:
+/// one LRU tag store of shape `cache` per cache, indexed `pid % n_caches`
+/// and keyed on the original block address; a miss by a process that had
+/// missed on the block before is a replacement miss, tracked per process
+/// over `soa`'s dense block ids (`soa` is `records`' split).
+fn scan_replacement_misses(
+    records: &[dircc_trace::TraceRecord],
+    soa: &SoaStream,
+    n_caches: usize,
+    cache: FiniteCacheConfig,
+    geometry: dircc_types::BlockGeometry,
+) -> u64 {
+    let mut caches: Vec<SetAssocCache<()>> =
+        (0..n_caches).map(|_| SetAssocCache::new(cache)).collect();
+    let words = soa.num_blocks.div_ceil(64);
+    let mut seen: Vec<Vec<u64>> = Vec::new();
+    let mut misses = 0u64;
+    for (r, &id) in records.iter().zip(&soa.block_id) {
+        if !r.is_data() {
+            continue;
+        }
+        let pid = usize::from(r.pid.raw());
+        let block = geometry.block_of(r.addr);
+        if let Lookup::Inserted { .. } = caches[pid % n_caches].lookup_or_insert(block, ()) {
+            if pid >= seen.len() {
+                seen.resize_with(pid + 1, || vec![0u64; words]);
+            }
+            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+            if seen[pid][word] & bit != 0 {
+                misses += 1;
+            }
+            seen[pid][word] |= bit;
+        }
+    }
+    misses
 }
 
 #[cfg(test)]

@@ -31,29 +31,28 @@ impl BlockInterner {
         BlockInterner { geometry, ids: HashMap::new() }
     }
 
-    /// Builds an interner over every *data* reference in `records`
-    /// (instruction fetches never reach block-level state), assigning
-    /// dense ids in first-appearance order.
+    /// Interns every *data* reference of `records` (instruction fetches
+    /// never reach block-level state) in one pass, assigning dense ids in
+    /// first-appearance order, and returns the interner together with the
+    /// dense id of each record's block, aligned one-to-one with `records`
+    /// (instruction fetches map to a placeholder id 0 that replay never
+    /// reads). One hash probe per data reference.
     ///
     /// # Panics
     ///
     /// Panics if the stream touches more than `u32::MAX` distinct blocks.
-    pub fn from_records<'a, I>(records: I, geometry: BlockGeometry) -> Self
-    where
-        I: IntoIterator<Item = &'a TraceRecord>,
-    {
+    pub fn intern_stream(records: &[TraceRecord], geometry: BlockGeometry) -> (Self, Vec<u32>) {
         let mut interner = BlockInterner::new(geometry);
-        for r in records {
-            if r.is_data() {
-                interner.intern(geometry.block_of(r.addr));
-            }
-        }
-        interner
+        let dense = records
+            .iter()
+            .map(|r| if r.is_data() { interner.intern(geometry.block_of(r.addr)).0 } else { 0 })
+            .collect();
+        (interner, dense)
     }
 
     /// Interns `block`, returning its dense id and whether this is the
     /// block's first appearance. Ids are assigned in first-appearance
-    /// order, exactly as [`BlockInterner::from_records`] would over the
+    /// order, exactly as [`BlockInterner::intern_stream`] would over the
     /// same stream.
     ///
     /// # Panics
@@ -88,9 +87,9 @@ impl BlockInterner {
     }
 
     /// Maps each record of `records` to the dense id of its block, aligned
-    /// one-to-one with the input (instruction fetches, which carry no
-    /// block-level state, map to a placeholder id 0 that replay never
-    /// reads).
+    /// one-to-one with the input (instruction fetches map to placeholder
+    /// id 0), by lookup only — for a stream drawn from one this interner
+    /// has already seen.
     ///
     /// # Panics
     ///
@@ -127,7 +126,7 @@ mod tests {
     fn ids_are_dense_and_first_appearance_ordered() {
         let records = trace();
         let geometry = BlockGeometry::PAPER;
-        let interner = BlockInterner::from_records(&records, geometry);
+        let (interner, _) = BlockInterner::intern_stream(&records, geometry);
         assert!(interner.num_blocks() > 0);
         assert_eq!(interner.geometry(), geometry);
         // First data record's block must be id 0; ids cover 0..n densely.
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn count_matches_trace_stats() {
         let records = trace();
-        let interner = BlockInterner::from_records(&records, BlockGeometry::PAPER);
+        let (interner, _) = BlockInterner::intern_stream(&records, BlockGeometry::PAPER);
         let stats: TraceStats = records.iter().collect();
         assert_eq!(interner.num_blocks(), stats.distinct_data_blocks());
     }
@@ -154,9 +153,9 @@ mod tests {
     fn dense_stream_aligns_with_records() {
         let records = trace();
         let geometry = BlockGeometry::PAPER;
-        let interner = BlockInterner::from_records(&records, geometry);
-        let dense = interner.dense_stream(&records);
+        let (interner, dense) = BlockInterner::intern_stream(&records, geometry);
         assert_eq!(dense.len(), records.len());
+        assert_eq!(interner.dense_stream(&records), dense, "lookup agrees with the fused pass");
         for (r, &id) in records.iter().zip(&dense) {
             if r.is_data() {
                 assert_eq!(interner.get(geometry.block_of(r.addr)), Some(BlockId::new(id)));
@@ -168,7 +167,7 @@ mod tests {
     fn incremental_interning_matches_batch() {
         let records = trace();
         let geometry = BlockGeometry::PAPER;
-        let batch = BlockInterner::from_records(&records, geometry);
+        let (batch, _) = BlockInterner::intern_stream(&records, geometry);
         let mut inc = BlockInterner::new(geometry);
         let mut firsts = 0usize;
         for r in records.iter().filter(|r| r.is_data()) {
@@ -186,7 +185,7 @@ mod tests {
     #[test]
     fn unknown_block_is_none() {
         let records = trace();
-        let interner = BlockInterner::from_records(&records, BlockGeometry::PAPER);
+        let (interner, _) = BlockInterner::intern_stream(&records, BlockGeometry::PAPER);
         assert_eq!(interner.get(BlockAddr::from_index(u64::MAX >> 5)), None);
     }
 }

@@ -152,8 +152,7 @@ mod tests {
     fn stream() -> (Vec<TraceRecord>, SoaStream) {
         let records: Vec<TraceRecord> =
             Generator::new(Profile::pops().with_total_refs(4_000), 5).collect();
-        let interner = BlockInterner::from_records(records.iter(), BlockGeometry::PAPER);
-        let dense = interner.dense_stream(&records);
+        let (interner, dense) = BlockInterner::intern_stream(&records, BlockGeometry::PAPER);
         let soa =
             SoaStream::build(&records, &dense, interner.num_blocks(), SharingModel::Processor);
         (records, soa)

@@ -55,7 +55,7 @@ pub struct SoaStream {
 
 impl SoaStream {
     /// Splits a record stream and its aligned dense-id stream (from
-    /// [`crate::intern::BlockInterner::dense_stream`]) into flat arrays
+    /// [`crate::intern::BlockInterner::intern_stream`]) into flat arrays
     /// under `sharing`.
     ///
     /// # Panics
@@ -69,12 +69,8 @@ impl SoaStream {
         sharing: SharingModel,
     ) -> Self {
         assert_eq!(records.len(), dense.len(), "dense-id stream must align with the record stream");
-        let mut soa = SoaStream::new(sharing);
+        let mut soa = SoaStream::with_capacity(sharing, records.len());
         soa.num_blocks = num_blocks;
-        soa.kind.reserve(records.len());
-        soa.cache_idx.reserve(records.len());
-        soa.block_id.reserve(records.len());
-        soa.first_ref.reserve(records.len());
         let mut seen = vec![0u64; num_blocks.div_ceil(64)];
         for (r, &id) in records.iter().zip(dense) {
             if r.is_data() {
@@ -94,10 +90,38 @@ impl SoaStream {
 
     /// Interns `records` under `geometry` (dense ids in first-appearance
     /// order) and splits them under `sharing` — [`SoaStream::build`] over
-    /// the records' own interner.
+    /// one [`BlockInterner::intern_stream`] pass.
     pub fn intern(records: &[TraceRecord], geometry: BlockGeometry, sharing: SharingModel) -> Self {
-        let interner = BlockInterner::from_records(records.iter(), geometry);
-        Self::build(records, &interner.dense_stream(records), interner.num_blocks(), sharing)
+        let (interner, dense) = BlockInterner::intern_stream(records, geometry);
+        Self::build(records, &dense, interner.num_blocks(), sharing)
+    }
+
+    /// The sub-stream of the entries `keep` selects (one flag per entry,
+    /// in order), with first-reference bits recomputed for the
+    /// sub-stream and dense ids, cache indices and `num_blocks` carried
+    /// over — how a per-record filter of the underlying records (such as
+    /// lock-spin exclusion) derives its split by position, with no second
+    /// interning pass. `len` is the number of kept entries, used to size
+    /// the arrays.
+    pub fn select(&self, keep: impl IntoIterator<Item = bool>, len: usize) -> Self {
+        let mut out = SoaStream::with_capacity(self.sharing, len);
+        out.num_blocks = self.num_blocks;
+        let mut seen = vec![0u64; self.num_blocks.div_ceil(64)];
+        for (i, keep) in keep.into_iter().enumerate() {
+            if !keep {
+                continue;
+            }
+            let kind = self.kind[i];
+            if kind.is_data() {
+                let id = self.block_id[i];
+                let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                out.push(kind, self.cache_idx[i], id, seen[word] & bit == 0);
+                seen[word] |= bit;
+            } else {
+                out.push(kind, 0, 0, false);
+            }
+        }
+        out
     }
 
     /// An empty stream under `sharing`, to be filled with
@@ -112,6 +136,16 @@ impl SoaStream {
             sharing,
             max_cache_idx: 0,
         }
+    }
+
+    /// An empty stream under `sharing` with room for `len` entries.
+    fn with_capacity(sharing: SharingModel, len: usize) -> Self {
+        let mut soa = SoaStream::new(sharing);
+        soa.kind.reserve_exact(len);
+        soa.cache_idx.reserve_exact(len);
+        soa.block_id.reserve_exact(len);
+        soa.first_ref.reserve_exact(len);
+        soa
     }
 
     /// Appends one entry. Data entries raise `max_cache_idx`; for an
@@ -185,8 +219,7 @@ mod tests {
     fn stream() -> (Vec<TraceRecord>, Vec<u32>, usize) {
         let records: Vec<TraceRecord> =
             Generator::new(Profile::thor().with_total_refs(4_000), 11).collect();
-        let interner = BlockInterner::from_records(records.iter(), BlockGeometry::PAPER);
-        let dense = interner.dense_stream(&records);
+        let (interner, dense) = BlockInterner::intern_stream(&records, BlockGeometry::PAPER);
         let n = interner.num_blocks();
         (records, dense, n)
     }

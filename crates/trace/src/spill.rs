@@ -337,8 +337,7 @@ mod tests {
     fn spilled_partition_matches_in_memory_sharding() {
         let records = stream();
         let geometry = BlockGeometry::PAPER;
-        let interner = BlockInterner::from_records(&records, geometry);
-        let dense = interner.dense_stream(&records);
+        let (interner, dense) = BlockInterner::intern_stream(&records, geometry);
         let dir = tmpdir("match");
         let soa = SoaStream::build(&records, &dense, interner.num_blocks(), SharingModel::Process);
         for shards in [1, 2, 3, 8] {

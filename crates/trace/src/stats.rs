@@ -8,8 +8,8 @@
 //! reference counts.
 
 use crate::record::TraceRecord;
-use dircc_types::{AccessKind, BlockGeometry, CpuId, ProcessId};
-use std::collections::{HashMap, HashSet};
+use dircc_types::{AccessKind, BlockGeometry, CpuId};
+use std::collections::HashSet;
 
 /// Accumulated statistics over a trace.
 ///
@@ -25,8 +25,11 @@ pub struct TraceStats {
     system: u64,
     lock_refs: u64,
     lock_spin_reads: u64,
-    per_cpu: HashMap<CpuId, u64>,
-    processes: HashSet<ProcessId>,
+    /// References per CPU, indexed by CPU id (ids are `u16`, so the
+    /// table is bounded).
+    per_cpu: Vec<u64>,
+    /// Whether each process id was observed, indexed by process id.
+    processes: Vec<bool>,
     data_blocks: HashSet<u64>,
     instr_blocks: HashSet<u64>,
 }
@@ -48,8 +51,8 @@ impl TraceStats {
             system: 0,
             lock_refs: 0,
             lock_spin_reads: 0,
-            per_cpu: HashMap::new(),
-            processes: HashSet::new(),
+            per_cpu: Vec::new(),
+            processes: Vec::new(),
             data_blocks: HashSet::new(),
             instr_blocks: HashSet::new(),
         }
@@ -58,8 +61,15 @@ impl TraceStats {
     /// Accounts for one record.
     pub fn observe(&mut self, r: &TraceRecord) {
         self.total += 1;
-        *self.per_cpu.entry(r.cpu).or_insert(0) += 1;
-        self.processes.insert(r.pid);
+        let (cpu, pid) = (r.cpu.index(), r.pid.index());
+        if cpu >= self.per_cpu.len() {
+            self.per_cpu.resize(cpu + 1, 0);
+        }
+        self.per_cpu[cpu] += 1;
+        if pid >= self.processes.len() {
+            self.processes.resize(pid + 1, false);
+        }
+        self.processes[pid] = true;
         let block = self.geometry.block_of(r.addr).index();
         match r.kind {
             AccessKind::InstrFetch => {
@@ -139,17 +149,17 @@ impl TraceStats {
 
     /// Number of distinct processes observed.
     pub fn distinct_processes(&self) -> usize {
-        self.processes.len()
+        self.processes.iter().filter(|&&seen| seen).count()
     }
 
     /// References issued by one CPU.
     pub fn refs_for_cpu(&self, cpu: CpuId) -> u64 {
-        self.per_cpu.get(&cpu).copied().unwrap_or(0)
+        self.per_cpu.get(cpu.index()).copied().unwrap_or(0)
     }
 
     /// Number of distinct CPUs observed.
     pub fn distinct_cpus(&self) -> usize {
-        self.per_cpu.len()
+        self.per_cpu.iter().filter(|&&n| n > 0).count()
     }
 
     /// Fraction of references that are instruction fetches.
@@ -236,7 +246,7 @@ impl<'a> FromIterator<&'a TraceRecord> for TraceStats {
 mod tests {
     use super::*;
     use crate::record::RecordFlags;
-    use dircc_types::Address;
+    use dircc_types::{Address, ProcessId};
 
     fn rec(cpu: u16, pid: u16, kind: AccessKind, addr: u64) -> TraceRecord {
         TraceRecord::new(CpuId::new(cpu), ProcessId::new(pid), kind, Address::new(addr))

@@ -14,8 +14,15 @@
 //! executes at most once per trace per process — observable through
 //! [`TraceStore::generations`], which tests use to pin the
 //! "generated exactly once" guarantee.
+//!
+//! Interning is fused with the structure-of-arrays build: one hashing
+//! pass over the full stream yields both the trace's [`BlockInterner`]
+//! and the full stream's dense ids, which go straight into its
+//! [`SoaStream`]. Because a filter is a per-record predicate, a filtered
+//! stream's split is then gathered from the full split by position
+//! ([`SoaStream::select`]) — no second hashing pass. [`TraceStore::interns`]
+//! and [`TraceStore::soa_builds`] count that work for exact gates.
 
-use crate::filter::exclude_lock_spins;
 use crate::gen::{Generator, Profile};
 use crate::intern::BlockInterner;
 use crate::record::TraceRecord;
@@ -46,6 +53,15 @@ impl TraceFilter {
         match self {
             TraceFilter::Full => 0,
             TraceFilter::ExcludeLockSpins => 1,
+        }
+    }
+
+    /// Whether the filtered stream keeps `record` — the per-record
+    /// predicate the filter applies.
+    pub fn keeps(self, record: &TraceRecord) -> bool {
+        match self {
+            TraceFilter::Full => true,
+            TraceFilter::ExcludeLockSpins => !record.is_lock_spin(),
         }
     }
 }
@@ -79,6 +95,10 @@ pub struct TraceStore {
     slots: Vec<TraceSlot>,
     /// Number of generator executions (not stream requests).
     generations: AtomicU64,
+    /// Number of interning passes over a full stream.
+    interns: AtomicU64,
+    /// Number of structure-of-arrays splits built.
+    soa_builds: AtomicU64,
     /// Memoized dense renamings, one per (trace, geometry).
     interners: MemoMap<(usize, BlockGeometry), Arc<BlockInterner>>,
     /// Memoized structure-of-arrays streams, one per
@@ -103,6 +123,8 @@ impl TraceStore {
             seed,
             slots,
             generations: AtomicU64::new(0),
+            interns: AtomicU64::new(0),
+            soa_builds: AtomicU64::new(0),
             interners: Mutex::new(HashMap::new()),
             soa: Mutex::new(HashMap::new()),
             sharded_soa: Mutex::new(HashMap::new()),
@@ -143,7 +165,7 @@ impl TraceStore {
                 TraceFilter::ExcludeLockSpins => {
                     // Derived from the full stream: no second generator run.
                     let full = self.records(trace, TraceFilter::Full);
-                    exclude_lock_spins(full.iter().copied()).collect()
+                    full.iter().copied().filter(|r| filter.keeps(r)).collect()
                 }
             })
             .clone()
@@ -153,6 +175,43 @@ impl TraceStore {
     /// generated-exactly-once guarantee; filters don't count).
     pub fn generations(&self) -> u64 {
         self.generations.load(Ordering::Relaxed)
+    }
+
+    /// How many interning passes ran over a full stream (one per
+    /// (trace, geometry) in normal use).
+    pub fn interns(&self) -> u64 {
+        self.interns.load(Ordering::Relaxed)
+    }
+
+    /// How many structure-of-arrays splits were built (one per
+    /// [`soa`](TraceStore::soa) key).
+    pub fn soa_builds(&self) -> u64 {
+        self.soa_builds.load(Ordering::Relaxed)
+    }
+
+    /// The trace's interner under `geometry` plus, when this call ran the
+    /// interning pass, the full stream's dense ids from that same pass.
+    fn intern_full(
+        &self,
+        trace: usize,
+        geometry: BlockGeometry,
+    ) -> (Arc<BlockInterner>, Option<Vec<u32>>) {
+        assert!(trace < self.slots.len(), "trace {trace} out of range");
+        let cell = {
+            let mut map = self.interners.lock().expect("interner memo poisoned");
+            map.entry((trace, geometry)).or_default().clone()
+        };
+        let mut dense = None;
+        let interner = cell
+            .get_or_init(|| {
+                self.interns.fetch_add(1, Ordering::Relaxed);
+                let records = self.records(trace, TraceFilter::Full);
+                let (interner, ids) = BlockInterner::intern_stream(&records, geometry);
+                dense = Some(ids);
+                Arc::new(interner)
+            })
+            .clone();
+        (interner, dense)
     }
 
     /// The dense block renaming of one trace under `geometry`, built once
@@ -165,16 +224,7 @@ impl TraceStore {
     ///
     /// Panics if `trace` is out of range.
     pub fn interner(&self, trace: usize, geometry: BlockGeometry) -> Arc<BlockInterner> {
-        assert!(trace < self.slots.len(), "trace {trace} out of range");
-        let cell = {
-            let mut map = self.interners.lock().expect("interner memo poisoned");
-            map.entry((trace, geometry)).or_default().clone()
-        };
-        cell.get_or_init(|| {
-            let records = self.records(trace, TraceFilter::Full);
-            Arc::new(BlockInterner::from_records(records.iter(), geometry))
-        })
-        .clone()
+        self.intern_full(trace, geometry).0
     }
 
     /// The structure-of-arrays split of one (trace, filter) stream under
@@ -183,6 +233,10 @@ impl TraceStore {
     /// math precomputed (see [`SoaStream`]), its dense block ids drawn from
     /// the trace's [`interner`](TraceStore::interner). Materialized once per
     /// key and shared thereafter.
+    ///
+    /// The full stream's split takes its dense ids from the interning
+    /// pass itself; a filtered stream's split is selected by position from
+    /// the full split under the same geometry and sharing model.
     ///
     /// # Panics
     ///
@@ -199,10 +253,23 @@ impl TraceStore {
             map.entry((trace, filter.slot(), geometry, sharing)).or_default().clone()
         };
         cell.get_or_init(|| {
-            let records = self.records(trace, filter);
-            let interner = self.interner(trace, geometry);
-            let dense = interner.dense_stream(&records);
-            Arc::new(SoaStream::build(&records, &dense, interner.num_blocks(), sharing))
+            self.soa_builds.fetch_add(1, Ordering::Relaxed);
+            let full = self.records(trace, TraceFilter::Full);
+            let soa = match filter {
+                TraceFilter::Full => {
+                    let (interner, dense) = self.intern_full(trace, geometry);
+                    // A second split of the same trace (another sharing
+                    // model) finds the interner built and looks ids up.
+                    let dense = dense.unwrap_or_else(|| interner.dense_stream(&full));
+                    SoaStream::build(&full, &dense, interner.num_blocks(), sharing)
+                }
+                TraceFilter::ExcludeLockSpins => {
+                    let base = self.soa(trace, TraceFilter::Full, geometry, sharing);
+                    let len = self.records(trace, filter).len();
+                    base.select(full.iter().map(|r| filter.keeps(r)), len)
+                }
+            };
+            Arc::new(soa)
         })
         .clone()
     }
@@ -355,6 +422,19 @@ mod tests {
         assert_eq!(sh.shards().len(), 3);
         let total: usize = sh.shards().iter().map(|s| s.soa.len()).sum();
         assert_eq!(total, a.len());
+    }
+
+    #[test]
+    fn one_interning_pass_serves_every_filter() {
+        let s = store();
+        let (g, p) = (BlockGeometry::PAPER, SharingModel::Process);
+        // The filtered split first: it builds the full split it selects from.
+        for f in [TraceFilter::ExcludeLockSpins, TraceFilter::Full, TraceFilter::ExcludeLockSpins] {
+            let _ = s.soa(1, f, g, p);
+        }
+        assert_eq!(s.interns(), 1, "one hashing pass per (trace, geometry)");
+        assert_eq!(s.soa_builds(), 2, "one split per (trace, filter)");
+        assert_eq!(s.generations(), 1);
     }
 
     #[test]
