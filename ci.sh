@@ -16,6 +16,17 @@ cargo test -q -p dircc-sim --test reference
 # Correctness gate: bounded exhaustive model check of every protocol,
 # plus the serial-vs-sharded replay equivalence check it ends with.
 ./target/release/dircc check --smoke
+# Model-check pin gate: at the default bound (3 cpus x 2 blocks, depth 8)
+# every scheme's `name states transitions PASS` row equals check.rows in
+# perfbench/pins.json (read here and never written), at one worker and
+# at two.
+python3 -c 'import json; print("\n".join(json.load(open("perfbench/pins.json"))["check"]["rows"]))' \
+    > /tmp/check_pins.txt
+for jobs in 1 2; do
+    ./target/release/dircc check --jobs "$jobs" > /tmp/check_out.txt
+    awk 'NF == 4 && $4 ~ /^(PASS|FAIL)$/ {print $1, $2, $3, $4}' /tmp/check_out.txt \
+        | diff /tmp/check_pins.txt -
+done
 # Paper-scale byte-identity gate: `dircc all` at full scale and the
 # default seed prints exactly the pinned bytes (paper_all.stdout_sha256
 # in perfbench/pins.json, read here and never written) at one worker

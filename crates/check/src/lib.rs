@@ -30,13 +30,20 @@
 //! The state key includes the protocol's canonical encoding
 //! ([`Protocol::encode_state`]), the first-reference set, and the full
 //! version tables, so dedup never merges states the checker could still
-//! distinguish.
+//! distinguish. Keys are stored packed in an exact arena-backed set:
+//! membership is decided by full byte equality, never by a hash alone.
 
 use dircc_bus::{price, CostConfig, CostModel};
-use dircc_core::{build, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind};
+use dircc_core::{
+    dispatch, CoherenceStyle, Event, EventCounters, Protocol, ProtocolKind, ProtocolVisitor,
+};
 use dircc_types::{AccessKind, BlockAddr, CacheId};
-use std::collections::HashSet;
+use keyset::KeySet;
 use std::fmt;
+
+mod keyset;
+#[cfg(test)]
+mod oracle;
 
 /// Exploration bounds: the op alphabet is
 /// `{read, write, evict} × cpus × blocks` and every sequence of up to
@@ -133,6 +140,9 @@ pub struct CheckReport {
     pub states: u64,
     /// Transitions taken (every op applied to every frontier state).
     pub transitions: u64,
+    /// Bytes of packed state keys the explorer stored, one entry per
+    /// distinct state.
+    pub arena_bytes: u64,
     /// `None` if every invariant held at every reachable state.
     pub counterexample: Option<Counterexample>,
 }
@@ -164,52 +174,66 @@ pub fn default_kinds() -> [ProtocolKind; 12] {
     ]
 }
 
+/// The value model's tables as [`step`] reads and writes them: the
+/// explorer's flat [`Values`] and the test oracle's nested rows both
+/// implement it.
+trait ValueModel {
+    /// Latest version of block `b`.
+    fn version(&mut self, b: usize) -> &mut u64;
+    /// Version of block `b` main memory holds.
+    fn memory(&mut self, b: usize) -> &mut u64;
+    /// Version of block `b` cache `c` last observed.
+    fn copy(&mut self, c: usize, b: usize) -> &mut u64;
+}
+
 /// The sim `Verifier`'s version tables, mirrored exactly: a global
 /// version per block bumped on every write, the version memory holds,
 /// and the version each cache's copy last observed. Stale entries are
 /// kept (not masked) just as the engine keeps them.
+///
+/// One vector laid out `version | memory | copy[0] | copy[1] | …`, each
+/// section `blocks` words long, so forking a state is one allocation and
+/// its key encoding one copy.
 #[derive(Debug, Clone)]
 struct Values {
-    /// `version[b]`: latest version of block `b`.
-    version: Vec<u64>,
-    /// `memory[b]`: version main memory holds.
-    memory: Vec<u64>,
-    /// `copy[c][b]`: version cache `c` last observed for block `b`.
-    copy: Vec<Vec<u64>>,
+    blocks: usize,
+    words: Vec<u64>,
 }
 
 impl Values {
     fn new(cpus: usize, blocks: usize) -> Self {
-        Values {
-            version: vec![0; blocks],
-            memory: vec![0; blocks],
-            copy: vec![vec![0; blocks]; cpus],
-        }
+        Values { blocks, words: vec![0; (2 + cpus) * blocks] }
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.version);
-        out.extend_from_slice(&self.memory);
-        for c in &self.copy {
-            out.extend_from_slice(c);
-        }
+        out.extend_from_slice(&self.words);
     }
 }
 
-/// One BFS node: protocol state, value model, first-reference set, path.
-struct Node {
-    protocol: Box<dyn Protocol>,
-    values: Values,
-    seen: u64,
-    path: Vec<Op>,
+impl ValueModel for Values {
+    fn version(&mut self, b: usize) -> &mut u64 {
+        debug_assert!(b < self.blocks);
+        &mut self.words[b]
+    }
+
+    fn memory(&mut self, b: usize) -> &mut u64 {
+        debug_assert!(b < self.blocks);
+        &mut self.words[self.blocks + b]
+    }
+
+    fn copy(&mut self, c: usize, b: usize) -> &mut u64 {
+        debug_assert!(b < self.blocks);
+        &mut self.words[(2 + c) * self.blocks + b]
+    }
 }
 
-fn state_key(protocol: &dyn Protocol, values: &Values, seen: u64) -> Vec<u64> {
-    let mut key = Vec::with_capacity(48);
-    protocol.encode_state(&mut key);
+/// Writes a state's dedup key into `key` (cleared first): the protocol's
+/// canonical encoding, the first-reference set, then the version tables.
+fn encode_key<P: Protocol>(protocol: &P, values: &Values, seen: u64, key: &mut Vec<u64>) {
+    key.clear();
+    protocol.encode_state(key);
     key.push(seen);
-    values.encode(&mut key);
-    key
+    values.encode(key);
 }
 
 /// Prices `counters` under both paper bus models and reports the first
@@ -232,13 +256,14 @@ fn check_costs(
 
 /// Applies `op` to `protocol`/`values`/`seen` and checks every invariant,
 /// mirroring the engine's `verify_access` transition-for-transition.
-fn step(
-    protocol: &mut dyn Protocol,
-    values: &mut Values,
+fn step<P: Protocol + ?Sized>(
+    protocol: &mut P,
+    values: &mut impl ValueModel,
     seen: &mut u64,
     op: Op,
 ) -> Result<(), String> {
     let b = op.block.index() as usize;
+    let c = op.cache.index();
     let kind = protocol.kind();
     let n = protocol.num_caches();
     let mut counters = EventCounters::new();
@@ -256,11 +281,11 @@ fn step(
         if evo.write_back {
             // The evicted copy holds the latest data in every protocol
             // that answers WRITE_BACK (engine rule).
-            values.memory[b] = values.copy[op.cache.index()][b];
-            if values.memory[b] != values.version[b] {
+            *values.memory(b) = *values.copy(c, b);
+            let (written, latest) = (*values.memory(b), *values.version(b));
+            if written != latest {
                 return Err(format!(
-                    "eviction wrote back version {} of b{b}, latest is {}",
-                    values.memory[b], values.version[b]
+                    "eviction wrote back version {written} of b{b}, latest is {latest}"
                 ));
             }
         }
@@ -289,17 +314,17 @@ fn step(
         }
         match access {
             AccessKind::Write => {
-                let new_ver = values.version[b] + 1;
-                values.version[b] = new_ver;
-                values.copy[op.cache.index()][b] = new_ver;
+                let new_ver = *values.version(b) + 1;
+                *values.version(b) = new_ver;
+                *values.copy(c, b) = new_ver;
                 if out.memory_updated {
-                    values.memory[b] = new_ver;
+                    *values.memory(b) = new_ver;
                 }
                 match protocol.style() {
                     CoherenceStyle::Update => {
                         // Updates reach every current holder.
                         for h in holders.iter() {
-                            values.copy[h.index()][b] = new_ver;
+                            *values.copy(h.index(), b) = new_ver;
                         }
                     }
                     CoherenceStyle::Invalidate => {
@@ -314,10 +339,10 @@ fn step(
                 }
             }
             AccessKind::Read => {
-                let cur = values.version[b];
+                let cur = *values.version(b);
                 match out.event {
                     Event::ReadHit => {
-                        let held = values.copy[op.cache.index()][b];
+                        let held = *values.copy(c, b);
                         if held != cur {
                             return Err(format!(
                                 "read hit observed version {held} of b{b}, latest is {cur}"
@@ -326,19 +351,19 @@ fn step(
                     }
                     Event::ReadMiss(_) => {
                         if out.memory_updated {
-                            values.memory[b] = cur;
+                            *values.memory(b) = cur;
                         }
                         let supplied = if out.cache_supplied || out.write_back {
                             cur
                         } else {
-                            values.memory[b]
+                            *values.memory(b)
                         };
                         if supplied != cur {
                             return Err(format!(
                                 "miss on b{b} supplied version {supplied}, latest is {cur}"
                             ));
                         }
-                        values.copy[op.cache.index()][b] = supplied;
+                        *values.copy(c, b) = supplied;
                     }
                     other => return Err(format!("read classified as {}", other.label())),
                 }
@@ -351,21 +376,21 @@ fn step(
     protocol.check_invariants().map_err(|e| format!("invariant violation: {e}"))
 }
 
-/// Explores `initial` under `cfg`. The protocol must implement
-/// [`Protocol::encode_state`], [`Protocol::boxed_clone`] and
-/// [`Protocol::evict`].
+/// Checks `cfg` against a protocol with `n_caches` caches.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.cpus`/`cfg.blocks` is 0 or `cfg.cpus` exceeds the
-/// protocol's cache count.
-pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport {
+/// Panics if `cfg.cpus`/`cfg.blocks` is 0, `cfg.cpus` exceeds
+/// `n_caches`, or `cfg.blocks` exceeds the 64-bit first-reference mask.
+fn assert_bounds(cfg: &CheckConfig, n_caches: usize) {
     assert!(cfg.cpus >= 1 && cfg.blocks >= 1, "need at least one cpu and block");
-    assert!(cfg.cpus <= initial.num_caches(), "more cpus than caches");
+    assert!(cfg.cpus <= n_caches, "more cpus than caches");
     assert!(cfg.blocks <= 64, "the first-reference set is a 64-bit mask");
-    let name = initial.name();
-    let kind = initial.kind();
+}
 
+/// The op alphabet in exploration order: by cpu, then read, write,
+/// evict, then by block.
+fn op_alphabet(cfg: &CheckConfig) -> Vec<Op> {
     let mut ops = Vec::with_capacity(cfg.cpus * 3 * cfg.blocks);
     for cache in 0..cfg.cpus {
         for kind in [OpKind::Read, OpKind::Write, OpKind::Evict] {
@@ -378,41 +403,88 @@ pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport
             }
         }
     }
+    ops
+}
+
+/// One BFS frontier node: protocol state, value model, first-reference
+/// set, and the node's state id (its row in the parent table).
+struct Node<P> {
+    protocol: P,
+    values: Values,
+    seen: u64,
+    id: u32,
+}
+
+/// The op sequence that first reached state `id`, rebuilt by walking
+/// `parents` (`(parent id, op index)` per state id) back to the initial
+/// state, id 0.
+fn path_to(parents: &[(u32, u32)], ops: &[Op], mut id: u32) -> Vec<Op> {
+    let mut path = Vec::new();
+    while id != 0 {
+        let (parent, op) = parents[id as usize];
+        path.push(ops[op as usize]);
+        id = parent;
+    }
+    path.reverse();
+    path
+}
+
+/// Explores `initial` under `cfg`: every op sequence up to `cfg.depth`,
+/// breadth-first, with states deduplicated by their full key. The
+/// protocol must implement [`Protocol::evict`].
+///
+/// Monomorphized per protocol type: a fork is `P::clone` plus one value
+/// table, a duplicate successor allocates nothing, and each new state
+/// stores only its packed key and a `(parent id, op)` row.
+///
+/// # Panics
+///
+/// Panics if `cfg.cpus`/`cfg.blocks` is 0, `cfg.cpus` exceeds the
+/// protocol's cache count, `cfg.blocks` exceeds 64, or the exploration
+/// outgrows the 32-bit state ids or key-arena offsets.
+pub fn explore<P: Protocol + Clone>(initial: P, cfg: &CheckConfig) -> CheckReport {
+    assert_bounds(cfg, initial.num_caches());
+    let name = initial.name();
+    let kind = initial.kind();
+    let ops = op_alphabet(cfg);
 
     let values = Values::new(cfg.cpus, cfg.blocks);
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    visited.insert(state_key(initial.as_ref(), &values, 0));
-    let mut frontier = vec![Node { protocol: initial, values, seen: 0, path: Vec::new() }];
+    let mut key = Vec::new();
+    let mut visited = KeySet::new();
+    encode_key(&initial, &values, 0, &mut key);
+    visited.insert(&key);
+    // Row `id`: the state `id` was first reached from, and the index of
+    // the op that reached it (the initial state's row is never read).
+    let mut parents: Vec<(u32, u32)> = vec![(0, 0)];
+    let mut frontier = vec![Node { protocol: initial, values, seen: 0, id: 0 }];
     let mut transitions = 0u64;
+    let mut counterexample = None;
 
-    for _ in 0..cfg.depth {
+    'bfs: for _ in 0..cfg.depth {
         let mut next = Vec::new();
         for node in &frontier {
-            for &op in &ops {
+            for (op_index, &op) in (0u32..).zip(&ops) {
                 // Evicting a non-held block is a silent no-op (a self
                 // loop): skip it instead of exploring it.
                 if op.kind == OpKind::Evict && !node.protocol.holders(op.block).contains(op.cache) {
                     continue;
                 }
                 transitions += 1;
-                let mut protocol = node.protocol.boxed_clone();
+                let mut protocol = node.protocol.clone();
                 let mut values = node.values.clone();
                 let mut seen = node.seen;
-                if let Err(violation) = step(protocol.as_mut(), &mut values, &mut seen, op) {
-                    let mut ops = node.path.clone();
+                if let Err(violation) = step(&mut protocol, &mut values, &mut seen, op) {
+                    let mut ops = path_to(&parents, &ops, node.id);
                     ops.push(op);
-                    return CheckReport {
-                        name,
-                        kind,
-                        states: visited.len() as u64,
-                        transitions,
-                        counterexample: Some(Counterexample { ops, violation }),
-                    };
+                    counterexample = Some(Counterexample { ops, violation });
+                    break 'bfs;
                 }
-                if visited.insert(state_key(protocol.as_ref(), &values, seen)) {
-                    let mut path = node.path.clone();
-                    path.push(op);
-                    next.push(Node { protocol, values, seen, path });
+                encode_key(&protocol, &values, seen, &mut key);
+                if visited.insert(&key) {
+                    let id = u32::try_from(parents.len())
+                        .expect("more reachable states than 32-bit state ids address");
+                    parents.push((node.id, op_index));
+                    next.push(Node { protocol, values, seen, id });
                 }
             }
         }
@@ -422,12 +494,31 @@ pub fn check_boxed(initial: Box<dyn Protocol>, cfg: &CheckConfig) -> CheckReport
         }
     }
 
-    CheckReport { name, kind, states: visited.len() as u64, transitions, counterexample: None }
+    CheckReport {
+        name,
+        kind,
+        states: visited.len() as u64,
+        transitions,
+        arena_bytes: visited.arena_bytes() as u64,
+        counterexample,
+    }
+}
+
+/// [`explore`] as a [`ProtocolVisitor`], so [`check_protocol`] runs it on
+/// the concrete scheme type.
+struct Explore<'a>(&'a CheckConfig);
+
+impl ProtocolVisitor for Explore<'_> {
+    type Output = CheckReport;
+
+    fn visit<P: Protocol + Clone>(self, protocol: P) -> CheckReport {
+        explore(protocol, self.0)
+    }
 }
 
 /// Explores one taxonomy point built over `cfg.cpus` caches.
 pub fn check_protocol(kind: ProtocolKind, cfg: &CheckConfig) -> CheckReport {
-    check_boxed(build(kind, cfg.cpus), cfg)
+    dispatch(kind, cfg.cpus, Explore(cfg))
 }
 
 /// Re-runs a counterexample's op sequence on a fresh protocol instance,
@@ -450,6 +541,7 @@ mod tests {
     use super::*;
     use dircc_cache::CacheArray;
     use dircc_core::event::EvictOutcome;
+    use dircc_core::snoopy::Berkeley;
     use dircc_core::Outcome;
     use dircc_types::CacheIdSet;
 
@@ -549,16 +641,14 @@ mod tests {
         fn encode_state(&self, out: &mut Vec<u64>) {
             self.caches.encode_states(out, |()| 0);
         }
-        fn boxed_clone(&self) -> Box<dyn Protocol> {
-            Box::new(self.clone())
-        }
     }
 
     #[test]
     fn broken_protocol_yields_a_minimal_replayable_counterexample() {
         let cfg = CheckConfig::default();
-        let report =
-            check_boxed(Box::new(NeverInvalidates { caches: CacheArray::new(cfg.cpus) }), &cfg);
+        let broken = NeverInvalidates { caches: CacheArray::new(cfg.cpus) };
+        let report = explore(broken.clone(), &cfg);
+        oracle::assert_same(&report, &oracle::explore_reference(broken, &cfg));
         let ce = report.counterexample.expect("the broken protocol must fail");
         assert!(ce.ops.len() <= cfg.depth, "counterexample longer than the depth bound");
         // SWMR breaks as soon as a writer leaves a second copy alive:
@@ -575,14 +665,14 @@ mod tests {
 
     /// A protocol that silently loses dirty data on eviction: the value
     /// model (not SWMR) must catch the stale re-read.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct DropsDirtyData {
-        inner: Box<dyn Protocol>,
+        inner: Berkeley,
     }
 
     impl DropsDirtyData {
         fn new(cpus: usize) -> Self {
-            DropsDirtyData { inner: build(ProtocolKind::Berkeley, cpus) }
+            DropsDirtyData { inner: Berkeley::new(cpus) }
         }
     }
 
@@ -617,15 +707,16 @@ mod tests {
         fn encode_state(&self, out: &mut Vec<u64>) {
             self.inner.encode_state(out);
         }
-        fn boxed_clone(&self) -> Box<dyn Protocol> {
-            Box::new(DropsDirtyData { inner: self.inner.boxed_clone() })
-        }
     }
 
     #[test]
     fn lost_write_back_is_caught_by_the_value_model() {
         let cfg = CheckConfig::default();
-        let report = check_boxed(Box::new(DropsDirtyData::new(cfg.cpus)), &cfg);
+        let report = explore(DropsDirtyData::new(cfg.cpus), &cfg);
+        oracle::assert_same(
+            &report,
+            &oracle::explore_reference(DropsDirtyData::new(cfg.cpus), &cfg),
+        );
         let ce = report.counterexample.expect("dropping dirty data must fail");
         // W, E, then a re-read misses against stale memory: 3 ops.
         assert_eq!(ce.ops.len(), 3, "{ce}");

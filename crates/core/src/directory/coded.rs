@@ -272,10 +272,6 @@ impl Protocol for CodedSet {
             out.push(u64::from(entry.code.both_mask));
         }
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -352,10 +352,6 @@ impl Protocol for DirNb {
             out.extend(entry.ptrs.iter().map(|c| u64::from(c.raw())));
         }
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -77,10 +77,6 @@ impl Protocol for Tang {
     fn encode_state(&self, out: &mut Vec<u64>) {
         self.inner.encode_state(out);
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -101,10 +101,6 @@ impl Protocol for YenFu {
         // state is the complete state.
         self.inner.encode_state(out);
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -88,8 +88,10 @@ pub trait ProtocolVisitor {
     /// What the computation returns.
     type Output;
 
-    /// Runs the computation over a concrete protocol instance.
-    fn visit<P: Protocol>(self, protocol: P) -> Self::Output;
+    /// Runs the computation over a concrete protocol instance. Every
+    /// scheme is `Clone`, so a visitor may fork the instance (the model
+    /// checker does, once per explored transition).
+    fn visit<P: Protocol + Clone>(self, protocol: P) -> Self::Output;
 }
 
 /// Resolves `kind` to its concrete protocol type (the same 12-arm mapping
@@ -128,7 +130,7 @@ struct SizedVisitor<V> {
 impl<V: ProtocolVisitor> ProtocolVisitor for SizedVisitor<V> {
     type Output = V::Output;
 
-    fn visit<P: Protocol>(self, mut protocol: P) -> V::Output {
+    fn visit<P: Protocol + Clone>(self, mut protocol: P) -> V::Output {
         protocol.reserve_blocks(self.blocks);
         self.inner.visit(protocol)
     }
@@ -219,7 +221,7 @@ mod tests {
         struct KindOf;
         impl ProtocolVisitor for KindOf {
             type Output = (ProtocolKind, String, usize);
-            fn visit<P: Protocol>(self, p: P) -> Self::Output {
+            fn visit<P: Protocol + Clone>(self, p: P) -> Self::Output {
                 (p.kind(), p.name(), p.num_caches())
             }
         }

@@ -195,26 +195,10 @@ pub trait Protocol: Send {
     /// (e.g. tombstone directory entries), and must exclude monotonic
     /// statistics counters.
     ///
-    /// Only used by the bounded model checker; the default
-    /// implementation panics so protocols opt in explicitly.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation always panics.
-    fn encode_state(&self, out: &mut Vec<u64>) {
-        let _ = out;
-        panic!("{} does not support state encoding", self.name())
-    }
-
-    /// Clones the protocol behind the trait object, for forking a state
-    /// during exhaustive exploration.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation always panics.
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        panic!("{} does not support cloning", self.name())
-    }
+    /// Required, so that every scheme is checkable: the model checker
+    /// forks states with the concrete type's `Clone` and deduplicates
+    /// them by this encoding.
+    fn encode_state(&self, out: &mut Vec<u64>);
 
     /// Verifies every internal invariant (single-writer, directory/cache
     /// agreement, pointer-occupancy bounds, …).

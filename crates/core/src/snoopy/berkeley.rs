@@ -179,10 +179,6 @@ impl Protocol for Berkeley {
     fn encode_state(&self, out: &mut Vec<u64>) {
         self.caches.encode_states(out, |s| u64::from(*s == Copy::Owned));
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -166,10 +166,6 @@ impl Protocol for Dragon {
         out.push(self.memory_stale.len() as u64);
         out.extend(self.memory_stale.iter().map(|b| b.index()));
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -204,10 +204,6 @@ impl Protocol for WriteOnce {
             Copy::Dirty => 2,
         });
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -132,10 +132,6 @@ impl Protocol for Wti {
         // Write-through: residency is the whole state.
         self.caches.encode_states(out, |()| 0);
     }
-
-    fn boxed_clone(&self) -> Box<dyn Protocol> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -650,7 +650,7 @@ pub fn run_soa<R: Recorder>(
     }
     impl<R: Recorder> ProtocolVisitor for Visit<'_, R> {
         type Output = Result<CoreResult, EngineError>;
-        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+        fn visit<P: Protocol + Clone>(self, mut protocol: P) -> Self::Output {
             let mut core =
                 Core::new(&mut protocol, self.cfg, self.recorder, self.soa.num_blocks, None);
             let batch = Batch { soa: self.soa, grefs: None, origin: Origin::Aligned(self.records) };
@@ -767,7 +767,7 @@ where
     }
     impl ProtocolVisitor for Visit<'_> {
         type Output = Result<CoreResult, EngineError>;
-        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+        fn visit<P: Protocol + Clone>(self, mut protocol: P) -> Self::Output {
             replay_shard(&mut protocol, self.shard, self.records, self.cfg)
         }
     }
@@ -862,7 +862,7 @@ pub fn run_chunked<S: ChunkSource>(
     }
     impl<S: ChunkSource> ProtocolVisitor for Visit<'_, S> {
         type Output = Result<CoreResult, EngineError>;
-        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+        fn visit<P: Protocol + Clone>(self, mut protocol: P) -> Self::Output {
             let mut recorder = NoopRecorder;
             let mut core = Core::new(&mut protocol, self.cfg, &mut recorder, 0, None);
             let mut interning = Interning::new(self.cfg);
@@ -1003,7 +1003,7 @@ pub fn run_spilled(
     }
     impl ProtocolVisitor for Visit<'_> {
         type Output = Result<CoreResult, EngineError>;
-        fn visit<P: Protocol>(self, mut protocol: P) -> Self::Output {
+        fn visit<P: Protocol + Clone>(self, mut protocol: P) -> Self::Output {
             replay_spilled_shard(&mut protocol, self.shard, self.cfg)
         }
     }
@@ -1068,6 +1068,9 @@ mod tests {
         }
         fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
             self.0.holders(block)
+        }
+        fn encode_state(&self, out: &mut Vec<u64>) {
+            self.0.encode_states(out, |()| 0);
         }
         fn check_invariants(&self) -> Result<(), String> {
             Ok(())
@@ -1264,6 +1267,9 @@ mod tests {
             fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
                 self.caches.holders(block)
             }
+            fn encode_state(&self, out: &mut Vec<u64>) {
+                self.caches.encode_states(out, |()| 0);
+            }
             fn check_invariants(&self) -> Result<(), String> {
                 Ok(())
             }
@@ -1296,6 +1302,9 @@ mod tests {
             }
             fn holders(&self, block: BlockAddr) -> dircc_types::CacheIdSet {
                 self.inner.holders(block)
+            }
+            fn encode_state(&self, out: &mut Vec<u64>) {
+                self.inner.encode_state(out);
             }
             fn check_invariants(&self) -> Result<(), String> {
                 let left = self.ok.get();

@@ -1476,7 +1476,8 @@ fn top_cmd(args: &Args) -> Result<(), String> {
 
 /// `dircc check`: bounded exhaustive model check of every scheme (or a
 /// single one via `--scheme`). Any invariant violation prints a minimal
-/// counterexample and fails the process.
+/// counterexample and fails the process. With `--verbose`, one stderr
+/// line per scheme gives its explore wall, states/s and key-arena bytes.
 fn check(args: &Args) -> Result<(), String> {
     let base = if args.smoke { CheckConfig::smoke() } else { CheckConfig::default() };
     let cfg = CheckConfig {
@@ -1511,10 +1512,24 @@ fn check(args: &Args) -> Result<(), String> {
     }
     println!("model check: {} cpus x {} blocks, depth {}", cfg.cpus, cfg.blocks, cfg.depth);
     println!("{:<12} {:>10} {:>12}  result", "scheme", "states", "transitions");
-    let reports =
-        dircc_sim::par_map_indexed(kinds.len(), args.jobs, |i| check_protocol(kinds[i], &cfg));
+    let reports = dircc_sim::par_map_indexed(kinds.len(), args.jobs, |i| {
+        let started = Instant::now();
+        let report = check_protocol(kinds[i], &cfg);
+        (report, started.elapsed())
+    });
+    if args.verbose {
+        for (r, wall) in &reports {
+            eprintln!(
+                "check {:<12} explore {:>7.3} s  {:>10.0} states/s  key arena {} bytes",
+                r.name,
+                wall.as_secs_f64(),
+                r.states as f64 / wall.as_secs_f64(),
+                r.arena_bytes
+            );
+        }
+    }
     let mut failed = 0usize;
-    for r in &reports {
+    for (r, _) in &reports {
         println!(
             "{:<12} {:>10} {:>12}  {}",
             r.name,
