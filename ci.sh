@@ -4,6 +4,11 @@ set -eux
 
 cargo build --release
 cargo test -q
+# Examples smoke: `cargo test` only compiles the examples; run each one
+# and require exit 0.
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
 # Shard-equivalence gate: sharded replay must be bit-identical to serial
 # for every scheme, on random traces and the pinned workbench matrix.
 cargo test -q -p dircc-sim --test sharding

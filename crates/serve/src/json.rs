@@ -193,8 +193,10 @@ impl<'b> Parser<'b> {
                     return Err(self.err("unescaped control byte in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
+                    // Consume one UTF-8 scalar: validate at most the four
+                    // bytes it can span, never the whole remaining input
+                    // (that made long strings quadratic).
+                    let rest = &self.bytes[self.pos..self.bytes.len().min(self.pos + 4)];
                     let s = std::str::from_utf8(rest)
                         .or_else(|e| {
                             if e.valid_up_to() > 0 {
@@ -353,6 +355,22 @@ mod tests {
     #[test]
     fn utf8_passthrough_in_strings() {
         assert_eq!(parse("\"héllo\"".as_bytes()).unwrap(), Json::Str("héllo".to_string()));
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_parse_in_one_pass() {
+        // Four-, three- and two-byte scalars, the last one flush against
+        // the closing quote.
+        let text = "😀€é".repeat(3);
+        assert_eq!(parse(format!("\"{text}\"").as_bytes()).unwrap(), Json::Str(text));
+        // A scalar cut short by the end of input, and a stray
+        // continuation byte, are rejected.
+        assert!(parse(b"\"\xe2\x82").is_err());
+        assert!(parse(b"\"\x80\"").is_err());
+        // A body-sized string: each character is validated on its own,
+        // so this is one linear pass.
+        let long = "x".repeat(1 << 20);
+        assert_eq!(parse(format!("\"{long}\"").as_bytes()).unwrap(), Json::Str(long));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   capture more spatial locality but invite more false sharing) and the
 //!   transfer costs.
 
-use crate::engine::{run, RunConfig};
+use crate::engine::{run_soa, RunConfig};
 use crate::metrics::{mean, Evaluation};
 use crate::par::par_map_indexed;
 use crate::report::{cycles, Table};
@@ -22,9 +22,9 @@ use crate::workbench::{TraceFilter, Workbench, Workload};
 use core::fmt;
 use dircc_bus::{BusKind, BusTiming, CostConfig, CostModel};
 use dircc_cache::FiniteCacheConfig;
-use dircc_core::{build, ProtocolKind};
+use dircc_core::ProtocolKind;
+use dircc_obs::NoopRecorder;
 use dircc_trace::gen::Profile;
-use dircc_trace::store::TraceStore;
 use dircc_types::BlockGeometry;
 
 /// One cache-capacity point of the finite-cache study.
@@ -126,6 +126,47 @@ impl fmt::Display for FiniteCacheStudy {
     }
 }
 
+/// One single-profile [`Workbench`] per machine size: a neutral
+/// `refs`-reference trace on `cpus` CPUs for each entry of `cpu_counts`,
+/// warmed with every scheme `kinds_at(cpus)` names on the full trace
+/// (one job pool of `jobs` workers per size). Callers read the memoized
+/// counters with [`Workbench::counters`]`(kind, 0, TraceFilter::Full)`;
+/// results do not depend on `jobs`.
+pub fn size_sweep<K>(
+    cpu_counts: &[u16],
+    refs: u64,
+    seed: u64,
+    jobs: usize,
+    kinds_at: impl Fn(u16) -> K,
+) -> Vec<Workbench>
+where
+    K: IntoIterator<Item = ProtocolKind>,
+{
+    cpu_counts
+        .iter()
+        .map(|&cpus| {
+            let profile = Profile::custom().with_cpus(cpus).with_total_refs(refs);
+            let wb = Workbench::with_profiles(vec![profile], seed);
+            let runs: Vec<_> = kinds_at(cpus).into_iter().map(|k| (k, TraceFilter::Full)).collect();
+            wb.warm(&runs, jobs);
+            wb
+        })
+        .collect()
+}
+
+/// The §6 schemes the machine-size sweeps compare on `cpus` CPUs:
+/// broadcast, limited pointers with and without broadcast, the full map
+/// and the coded set.
+pub(crate) fn section6_kinds(cpus: u16) -> [ProtocolKind; 5] {
+    [
+        ProtocolKind::Dir0B,
+        ProtocolKind::DirB { pointers: 1 },
+        ProtocolKind::DirNb { pointers: 2 },
+        ProtocolKind::DirNb { pointers: u32::from(cpus) },
+        ProtocolKind::CodedSet,
+    ]
+}
+
 /// One machine-size × scheme measurement of the scaling study.
 #[derive(Debug, Clone)]
 pub struct ScalingRow {
@@ -137,6 +178,21 @@ pub struct ScalingRow {
     pub messages_per_kref: f64,
     /// Broadcasts per 1000 references.
     pub broadcasts_per_kref: f64,
+}
+
+impl ScalingRow {
+    /// Prices `kind`'s memoized run on a [`size_sweep`] workbench.
+    pub fn measure(wb: &Workbench, kind: ProtocolKind) -> Self {
+        let eval = wb.evaluation(kind, 0, TraceFilter::Full);
+        let c = &eval.counters;
+        let per_kref = |n: u64| 1000.0 * n as f64 / c.total() as f64;
+        ScalingRow {
+            cycles_per_ref: eval.cycles_per_ref(&CostModel::pipelined(), &CostConfig::PAPER),
+            messages_per_kref: per_kref(c.control_messages()),
+            broadcasts_per_kref: per_kref(c.broadcasts()),
+            scheme: eval.name,
+        }
+    }
 }
 
 /// The beyond-paper scaling study: §6 schemes on 4-32 CPU machines.
@@ -163,59 +219,17 @@ impl ScalingStudy {
 }
 
 /// Runs the scaling study on a neutral workload (`refs` references per
-/// machine size; modest sizes keep it fast).
-///
-/// Fans the (machine size × scheme) matrix out over `jobs` threads; each
-/// machine size's trace is generated once into a shared [`TraceStore`] and
-/// replayed by slice, so results are deterministic and independent of
-/// `jobs`.
+/// machine size; modest sizes keep it fast) over a [`size_sweep`].
 pub fn scaling(refs: u64, seed: u64, jobs: usize) -> ScalingStudy {
-    let m = CostModel::pipelined();
-    let cost_cfg = CostConfig::PAPER;
     let cpu_counts = vec![4u16, 8, 16, 32];
-    let kinds_at = |cpus: u16| {
-        [
-            ProtocolKind::Dir0B,
-            ProtocolKind::DirB { pointers: 1 },
-            ProtocolKind::DirNb { pointers: 2 },
-            ProtocolKind::DirNb { pointers: u32::from(cpus) },
-            ProtocolKind::CodedSet,
-        ]
-    };
-    // One generate-once store per machine size (the trace shape depends on
-    // the CPU count).
-    let stores: Vec<TraceStore> = cpu_counts
+    let benches = size_sweep(&cpu_counts, refs, seed, jobs, section6_kinds);
+    let rows = cpu_counts
         .iter()
-        .map(|&cpus| {
-            TraceStore::new(vec![Profile::custom().with_cpus(cpus).with_total_refs(refs)], seed)
+        .zip(&benches)
+        .map(|(&cpus, wb)| {
+            section6_kinds(cpus).into_iter().map(|kind| ScalingRow::measure(wb, kind)).collect()
         })
         .collect();
-    let work: Vec<(usize, ProtocolKind)> = cpu_counts
-        .iter()
-        .enumerate()
-        .flat_map(|(si, &cpus)| kinds_at(cpus).into_iter().map(move |k| (si, k)))
-        .collect();
-    let flat = par_map_indexed(work.len(), jobs, |i| {
-        let (si, kind) = work[i];
-        let cpus = usize::from(cpu_counts[si]);
-        let records = stores[si].records(0, TraceFilter::Full);
-        let mut protocol = build(kind, cpus);
-        let cfg = RunConfig::default().with_process_sharing();
-        let result = run(protocol.as_mut(), records.iter().copied(), &cfg).expect("scaling replay");
-        let c = result.counters;
-        let per_kref = |n: u64| 1000.0 * n as f64 / c.total() as f64;
-        let messages_per_kref = per_kref(c.control_messages());
-        let broadcasts_per_kref = per_kref(c.broadcasts());
-        let eval = Evaluation::new(protocol.name(), kind, cpus, c);
-        ScalingRow {
-            scheme: kind.display_name(cpus),
-            cycles_per_ref: eval.cycles_per_ref(&m, &cost_cfg),
-            messages_per_kref,
-            broadcasts_per_kref,
-        }
-    });
-    let per_size = work.len() / cpu_counts.len();
-    let rows = flat.chunks(per_size).map(<[ScalingRow]>::to_vec).collect();
     ScalingStudy { cpu_counts, rows }
 }
 
@@ -264,36 +278,38 @@ pub struct BlockSizeStudy {
 /// model (words per block).
 ///
 /// The trace is identical across every point (same profile and seed), so
-/// it is generated once into a [`TraceStore`] and all
-/// (block size × scheme) runs — fanned out over `jobs` threads — replay
-/// the same shared slice.
+/// it is generated once on a workbench; the (block size × scheme) runs,
+/// fanned out over `jobs` threads, replay the store's memoized
+/// structure-of-arrays stream of their geometry, which both schemes share.
 pub fn block_size(refs: u64, seed: u64, jobs: usize) -> BlockSizeStudy {
     const OFFSET_BITS: [u32; 4] = [3, 4, 5, 6];
     const KINDS: [ProtocolKind; 2] = [ProtocolKind::Dir0B, ProtocolKind::Dragon];
-    let store = TraceStore::new(vec![Profile::pops().with_total_refs(refs)], seed);
+    let wb = Workbench::with_profiles(vec![Profile::pops().with_total_refs(refs)], seed);
+    let (n, records) = (wb.n_caches(), wb.records(0, TraceFilter::Full));
+    // Scheme-major order: the first pass over the block sizes builds each
+    // geometry's stream, in parallel; the second finds them memoized.
     let flat = par_map_indexed(OFFSET_BITS.len() * KINDS.len(), jobs, |i| {
-        let geometry = BlockGeometry::new(OFFSET_BITS[i / KINDS.len()]);
-        let kind = KINDS[i % KINDS.len()];
+        let geometry = BlockGeometry::new(OFFSET_BITS[i % OFFSET_BITS.len()]);
+        let kind = KINDS[i / OFFSET_BITS.len()];
         let timing = BusTiming {
             block_words: (geometry.block_bytes() / 4).max(1) as u32,
             ..BusTiming::PAPER
         };
         let m = CostModel::new(BusKind::Pipelined, timing);
-        let records = store.records(0, TraceFilter::Full);
-        let mut protocol = build(kind, 4);
         let cfg = RunConfig { geometry, ..RunConfig::default().with_process_sharing() };
+        let soa = wb.store().soa(0, TraceFilter::Full, geometry, cfg.sharing);
         let result =
-            run(protocol.as_mut(), records.iter().copied(), &cfg).expect("block-size replay");
-        let eval = Evaluation::new(protocol.name(), kind, 4, result.counters);
-        eval.cycles_per_ref(&m, &CostConfig::PAPER)
+            run_soa(kind, n, &records, &soa, &cfg, &mut NoopRecorder).expect("block-size replay");
+        Evaluation::new(kind.display_name(n), kind, n, result.counters)
+            .cycles_per_ref(&m, &CostConfig::PAPER)
     });
     let points = OFFSET_BITS
         .iter()
         .enumerate()
         .map(|(pi, &bits)| BlockSizePoint {
             block_bytes: BlockGeometry::new(bits).block_bytes(),
-            dir0b: flat[pi * KINDS.len()],
-            dragon: flat[pi * KINDS.len() + 1],
+            dir0b: flat[pi],
+            dragon: flat[OFFSET_BITS.len() + pi],
         })
         .collect();
     BlockSizeStudy { points }

@@ -1,10 +1,13 @@
 //! Experiment runners: one per paper table, figure and in-text study.
 //!
-//! Every runner takes a shared [`Workbench`](crate::workbench::Workbench)
+//! Every paper runner takes a shared [`Workbench`](crate::workbench::Workbench)
 //! (so event frequencies are measured once per protocol and trace, exactly
 //! as the paper's methodology prescribes), returns a structured result with
 //! the quantities the paper reports, and implements `Display` to print the
-//! table/figure in a form comparable with the original.
+//! table/figure in a form comparable with the original. The beyond-paper
+//! sweeps need trace shapes of their own, so they build their own
+//! workbenches: one per machine size ([`extensions::size_sweep`]) or one
+//! over the block-size trace.
 //!
 //! | Runner | Paper artifact |
 //! |---|---|

@@ -1,14 +1,12 @@
 //! Directory storage and interconnection-network studies: the two §6/§7
 //! scaling arguments made quantitative.
 
-use crate::engine::{run, RunConfig};
-use crate::par::par_map_indexed;
+use super::extensions::{section6_kinds, size_sweep};
 use crate::report::Table;
+use crate::workbench::TraceFilter;
 use core::fmt;
 use dircc_bus::{network_cost_per_ref, CostConfig, MeshModel};
-use dircc_core::{build, directory_bits_per_block, EventCounters, ProtocolKind};
-use dircc_trace::gen::Profile;
-use dircc_trace::store::{TraceFilter, TraceStore};
+use dircc_core::{directory_bits_per_block, ProtocolKind};
 
 /// Tag bits assumed for Tang's duplicated tag stores.
 const TAG_BITS: u32 = 20;
@@ -106,60 +104,30 @@ impl NetworkStudy {
     }
 }
 
-fn measure(store: &TraceStore, kind: ProtocolKind, cpus: u16) -> EventCounters {
-    let mut protocol = build(kind, usize::from(cpus));
-    let cfg = RunConfig::default().with_process_sharing();
-    let records = store.records(0, TraceFilter::Full);
-    let result = run(protocol.as_mut(), records.iter().copied(), &cfg).expect("network replay");
-    result.counters
-}
-
-/// Runs the network study on 16/36/64-node meshes, fanning the
-/// (mesh size × scheme) runs out over `jobs` threads. Each mesh size's
-/// trace is generated once into a shared [`TraceStore`], so results are
-/// deterministic and independent of `jobs`.
+/// Runs the network study on 16/36/64-node meshes over a
+/// [`size_sweep`], pricing each scheme's memoized counters on the mesh.
 pub fn network_study(refs: u64, seed: u64, jobs: usize) -> NetworkStudy {
     let sizes = vec![16u32, 36, 64];
-    let cfg = CostConfig::PAPER;
-    let kinds_at = |nodes: u32| {
-        [
-            ProtocolKind::Dir0B,
-            ProtocolKind::DirB { pointers: 1 },
-            ProtocolKind::DirNb { pointers: 2 },
-            ProtocolKind::DirNb { pointers: nodes },
-            ProtocolKind::CodedSet,
-        ]
-    };
-    let stores: Vec<TraceStore> = sizes
+    let cpu_counts: Vec<u16> = sizes.iter().map(|&nodes| nodes as u16).collect();
+    let benches = size_sweep(&cpu_counts, refs, seed, jobs, section6_kinds);
+    let rows = sizes
         .iter()
-        .map(|&nodes| {
-            TraceStore::new(
-                vec![Profile::custom().with_cpus(nodes as u16).with_total_refs(refs)],
-                seed,
-            )
+        .zip(&benches)
+        .map(|(&nodes, wb)| {
+            section6_kinds(nodes as u16)
+                .into_iter()
+                .map(|kind| NetworkRow {
+                    scheme: kind.display_name(nodes as usize),
+                    flit_hops_per_ref: network_cost_per_ref(
+                        kind,
+                        MeshModel::for_nodes(nodes),
+                        &wb.counters(kind, 0, TraceFilter::Full),
+                        &CostConfig::PAPER,
+                    ),
+                })
+                .collect()
         })
         .collect();
-    let work: Vec<(usize, ProtocolKind)> = sizes
-        .iter()
-        .enumerate()
-        .flat_map(|(si, &nodes)| kinds_at(nodes).into_iter().map(move |k| (si, k)))
-        .collect();
-    let flat = par_map_indexed(work.len(), jobs, |i| {
-        let (si, kind) = work[i];
-        let nodes = sizes[si];
-        let counters = measure(&stores[si], kind, nodes as u16);
-        NetworkRow {
-            scheme: kind.display_name(nodes as usize),
-            flit_hops_per_ref: network_cost_per_ref(
-                kind,
-                MeshModel::for_nodes(nodes),
-                &counters,
-                &cfg,
-            ),
-        }
-    });
-    let per_size = work.len() / sizes.len();
-    let rows = flat.chunks(per_size).map(<[NetworkRow]>::to_vec).collect();
     NetworkStudy { sizes, rows }
 }
 

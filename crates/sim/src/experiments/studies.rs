@@ -3,7 +3,7 @@
 
 use crate::metrics::mean;
 use crate::report::{cycles, Table};
-use crate::workbench::{TraceFilter, Workbench};
+use crate::workbench::{TraceFilter, Workbench, Workload};
 use core::fmt;
 use dircc_bus::{CostConfig, CostModel};
 use dircc_core::ProtocolKind;
@@ -209,7 +209,23 @@ pub struct Scalability {
     pub coded_message_overhead: f64,
 }
 
-/// Runs the §6 study (pipelined bus, trace average).
+/// Every run [`scalability`] reads from the workbench memo: Dir0B, the
+/// DiriNB sweep up to the full map, the DiriB sweep and the coded set,
+/// all on the full traces.
+pub fn scalability_workload(wb: &Workbench) -> Workload {
+    let n = wb.n_caches() as u32;
+    let mut runs = vec![ProtocolKind::Dir0B];
+    runs.extend((1..=n).map(|i| ProtocolKind::DirNb { pointers: i }));
+    runs.extend((1..n).map(|i| ProtocolKind::DirB { pointers: i }));
+    runs.push(ProtocolKind::CodedSet);
+    Workload {
+        runs: runs.into_iter().map(|k| (k, TraceFilter::Full)).collect(),
+        ..Workload::default()
+    }
+}
+
+/// Runs the §6 study (pipelined bus, trace average); warm its runs in
+/// parallel with [`scalability_workload`].
 pub fn scalability(wb: &Workbench) -> Scalability {
     let cfg = CostConfig::PAPER;
     let m = CostModel::pipelined();

@@ -21,7 +21,8 @@
 //!   [`dircc_obs::SpanLog`], and optional windowed time series
 //!   ([`Workbench::with_window`](workbench::Workbench::with_window));
 //! * [`experiments`] — one runner per paper table, figure and study;
-//! * [`par`] — the deterministic indexed parallel map the sweeps use;
+//! * [`par`] — the deterministic indexed parallel map behind the
+//!   workbench's job pool and the block-size sweep;
 //! * [`report`] — plain-text table/bar formatting.
 //!
 //! The `dircc` binary exposes each experiment as a subcommand.

@@ -63,8 +63,9 @@ use dircc_serve::{client, JobHandler, ServeConfig, Server};
 use dircc_sim::experiments::{self, extensions, figures, network, studies, system, tables};
 use dircc_sim::{
     default_jobs, filter_from_label, filter_label, load_generate, profile_by_name, report,
-    run_chunked, run_response_json, run_sharded, run_soa, run_spilled, shard_stream, spill_sharded,
-    Evaluation, RunConfig, RunResult, TraceFilter, Workbench, WorkbenchHandler, Workload,
+    run_chunked, run_response_json, run_sharded, run_soa, run_spilled, scheme_by_name,
+    shard_stream, spill_sharded, Evaluation, RunConfig, RunResult, TraceFilter, Workbench,
+    WorkbenchHandler, Workload,
 };
 use dircc_trace::chunk::{DEFAULT_CHUNK_RECORDS, MAX_CHUNK_RECORDS};
 use dircc_trace::codec::BinaryWriter;
@@ -93,12 +94,9 @@ enum Io {
 enum Kind {
     /// Printed from the shared [`Workbench`] via `run_experiment`.
     Workbench,
-    /// Standalone sweep with its own trace store and default refs.
-    Scaling,
-    /// Standalone mesh-network sweep.
-    Network,
-    /// Standalone block-size sweep.
-    BlockSize,
+    /// Beyond-paper sweep over trace shapes of its own, at its own
+    /// default refs (`scaling`, `network`, `blocksize`).
+    Sweep,
     /// Trace-file producer.
     Gen,
     /// Chunked v2 trace-file producer.
@@ -156,9 +154,9 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec { name: "finitecache", kind: Kind::Workbench, io: Io::None, in_all: true },
     CommandSpec { name: "footnote2", kind: Kind::Workbench, io: Io::None, in_all: true },
     CommandSpec { name: "storage", kind: Kind::Workbench, io: Io::None, in_all: true },
-    CommandSpec { name: "scaling", kind: Kind::Scaling, io: Io::None, in_all: false },
-    CommandSpec { name: "network", kind: Kind::Network, io: Io::None, in_all: false },
-    CommandSpec { name: "blocksize", kind: Kind::BlockSize, io: Io::None, in_all: false },
+    CommandSpec { name: "scaling", kind: Kind::Sweep, io: Io::None, in_all: false },
+    CommandSpec { name: "network", kind: Kind::Sweep, io: Io::None, in_all: false },
+    CommandSpec { name: "blocksize", kind: Kind::Sweep, io: Io::None, in_all: false },
     CommandSpec { name: "all", kind: Kind::All, io: Io::None, in_all: false },
     CommandSpec { name: "bench", kind: Kind::Bench, io: Io::Writes, in_all: false },
     CommandSpec { name: "benchcmp", kind: Kind::BenchCmp, io: Io::Reads, in_all: false },
@@ -548,12 +546,19 @@ fn usage() -> String {
     lines.join("\n")
 }
 
+/// The paper suite at the scale the flags select: `--refs N` references
+/// per trace, else 20 000 under `--smoke`, else paper scale.
+fn paper_profiles(args: &Args) -> Vec<Profile> {
+    let scale = args.refs.or(args.smoke.then_some(20_000));
+    let scaled = |p: Profile| match scale {
+        Some(n) => p.with_total_refs(n),
+        None => p,
+    };
+    Profile::paper_suite().into_iter().map(scaled).collect()
+}
+
 fn workbench(args: &Args) -> Workbench {
-    match args.refs {
-        Some(n) => Workbench::paper_scaled(n, args.seed),
-        None => Workbench::paper(args.seed),
-    }
-    .with_shards(args.shards)
+    Workbench::with_profiles(paper_profiles(args), args.seed).with_shards(args.shards)
 }
 
 fn trace_path(args: &Args) -> String {
@@ -602,28 +607,15 @@ fn record(args: &Args) -> Result<(), String> {
 /// The protocols `dircc replay` drives: the paper's four headline schemes
 /// by default, or one chosen by `--scheme` from the full checked set.
 fn replay_kinds(args: &Args, cpus: usize) -> Result<Vec<ProtocolKind>, String> {
-    let Some(want) = &args.scheme else {
-        return Ok(vec![
+    match &args.scheme {
+        Some(want) => Ok(vec![scheme_by_name(want, cpus)?]),
+        None => Ok(vec![
             ProtocolKind::DirNb { pointers: 1 },
             ProtocolKind::Wti,
             ProtocolKind::Dir0B,
             ProtocolKind::Dragon,
-        ]);
-    };
-    let want_lc = want.to_ascii_lowercase();
-    let kinds: Vec<ProtocolKind> = dircc_check::default_kinds()
-        .iter()
-        .copied()
-        .filter(|k| dircc_core::build(*k, cpus).name().to_ascii_lowercase() == want_lc)
-        .collect();
-    if kinds.is_empty() {
-        let names: Vec<String> = dircc_check::default_kinds()
-            .iter()
-            .map(|k| dircc_core::build(*k, cpus).name().to_string())
-            .collect();
-        return Err(format!("unknown scheme {want}; one of: {}", names.join(" ")));
+        ]),
     }
-    Ok(kinds)
 }
 
 /// Streams a trace file through every requested scheme. With one shard
@@ -835,14 +827,7 @@ fn workload_for(command: &str, wb: &Workbench) -> Option<Workload> {
         "all" => Some(experiments::paper_all_workload(wb)),
         "finitecache" => Some(extensions::finite_cache_workload()),
         "footnote2" => Some(extensions::footnote2_workload()),
-        "scalability" => {
-            let n = wb.n_caches() as u32;
-            let mut work = vec![(ProtocolKind::Dir0B, TraceFilter::Full)];
-            work.extend((1..=n).map(|i| (ProtocolKind::DirNb { pointers: i }, TraceFilter::Full)));
-            work.extend((1..n).map(|i| (ProtocolKind::DirB { pointers: i }, TraceFilter::Full)));
-            work.push((ProtocolKind::CodedSet, TraceFilter::Full));
-            Some(Workload::runs(&work))
-        }
+        "scalability" => Some(studies::scalability_workload(wb)),
         _ => None,
     }
 }
@@ -869,6 +854,21 @@ fn run_experiment(command: &str, wb: &Workbench) -> Result<String, String> {
         "storage" => network::storage_table().to_string(),
         other => return Err(format!("unknown command {other}\n{}", usage())),
     })
+}
+
+/// `dircc scaling|network|blocksize`: a beyond-paper sweep on workbenches
+/// of its own trace shapes, at its own default scale.
+fn sweep(args: &Args) -> Result<(), String> {
+    let refs = |default: u64| args.refs.unwrap_or(default);
+    let (seed, jobs) = (args.seed, args.jobs);
+    let text = match args.command.as_str() {
+        "scaling" => extensions::scaling(refs(300_000), seed, jobs).to_string(),
+        "network" => network::network_study(refs(300_000), seed, jobs).to_string(),
+        "blocksize" => extensions::block_size(refs(400_000), seed, jobs).to_string(),
+        other => return Err(format!("unknown command {other}\n{}", usage())),
+    };
+    println!("{text}");
+    Ok(())
 }
 
 /// Runs one workbench command (or, for `all`, every `in_all` command in
@@ -902,19 +902,6 @@ fn run_workbench_command(args: &Args, all: bool) -> Result<(), String> {
         }
     }
     result
-}
-
-/// The paper-suite profiles at the scale the bench flags select.
-fn bench_profiles(args: &Args) -> Vec<Profile> {
-    let scale = match (args.refs, args.smoke) {
-        (Some(n), _) => Some(n),
-        (None, true) => Some(20_000),
-        (None, false) => None,
-    };
-    match scale {
-        Some(n) => Profile::paper_suite().into_iter().map(|p| p.with_total_refs(n)).collect(),
-        None => Profile::paper_suite(),
-    }
 }
 
 /// Counter digests of every bench-matrix run, keyed by the (scheme,
@@ -952,7 +939,7 @@ fn bench(args: &Args) -> Result<(), String> {
         return bench_serve(args);
     }
     let repeat = args.repeat.unwrap_or(3);
-    let store = std::sync::Arc::new(TraceStore::new(bench_profiles(args), args.seed));
+    let store = std::sync::Arc::new(TraceStore::new(paper_profiles(args), args.seed));
     let mut repeats: Vec<Vec<dircc_sim::RunTiming>> = Vec::new();
     let mut executed = 0usize;
     let mut warm_wb = None;
@@ -1013,47 +1000,10 @@ fn bench(args: &Args) -> Result<(), String> {
         total_refs += t.refs;
         total_wall += t.wall;
     }
-    // Streaming-ingest benchmark: encode each trace to a v2 temp file,
-    // stream it back through Dir0B with `run_chunked`, and report decode +
-    // replay throughput against the on-disk size. (trace, refs, bytes) are
-    // deterministic and pinned by `benchcmp`; the throughput fields are
-    // informational.
     json.push_str("  ],\n  \"ingest\": [\n");
     let dir = std::env::temp_dir().join(format!("dircc_bench_ingest_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let n_profiles = wb.profiles().len();
-    for (i, profile) in wb.profiles().to_vec().into_iter().enumerate() {
-        let name = profile.name.to_string();
-        let path = dir.join(format!("{name}.dcct"));
-        let file = std::fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut w = ChunkedWriter::new(BufWriter::new(file));
-        for r in Generator::new(profile, args.seed) {
-            w.write(&r).map_err(|e| format!("ingest write: {e}"))?;
-        }
-        let refs = w.records_written();
-        w.finish().map_err(|e| format!("ingest finish: {e}"))?;
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let t0 = std::time::Instant::now();
-        let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut source =
-            open_trace(BufReader::new(file)).map_err(|e| format!("ingest open: {e}"))?;
-        let cfg = RunConfig::default().with_process_sharing();
-        let res = run_chunked(ProtocolKind::Dir0B, wb.n_caches(), &mut source, &cfg)
-            .map_err(|e| format!("ingest replay: {e}"))?;
-        let ingest_wall = t0.elapsed();
-        if res.refs != refs {
-            return Err(format!("ingest: {name}: wrote {refs} refs, replayed {}", res.refs));
-        }
-        let mb_per_sec = bytes as f64 / 1e6 / ingest_wall.as_secs_f64().max(1e-9);
-        let _ = write!(
-            json,
-            "    {{\"trace\": \"{name}\", \"refs\": {refs}, \"bytes\": {bytes}, \
-             \"wall_ms\": {:.3}, \"mb_per_sec\": {mb_per_sec:.1}}}",
-            ingest_wall.as_secs_f64() * 1e3
-        );
-        json.push_str(if i + 1 < n_profiles { ",\n" } else { "\n" });
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    json.push_str(&bench_ingest(&wb, &dir)?.join(",\n"));
+    json.push('\n');
 
     let total_rps =
         if total_wall.is_zero() { 0.0 } else { total_refs as f64 / total_wall.as_secs_f64() };
@@ -1084,6 +1034,53 @@ fn bench(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The v2 (chunked, default chunking) encoding of `records` into `sink`.
+fn encode_v2<W: std::io::Write>(records: &[TraceRecord], sink: W) -> Result<W, String> {
+    let mut w = ChunkedWriter::new(sink);
+    w.write_all(records).map_err(|e| format!("ingest encode: {e}"))?;
+    w.finish().map_err(|e| format!("ingest encode: {e}"))
+}
+
+/// The streaming-ingest rows of a bench report: each of `wb`'s full
+/// traces is encoded to a v2 file in `dir`, streamed back through Dir0B
+/// with [`run_chunked`], and reported as decode + replay throughput
+/// against the on-disk size. (trace, refs, bytes) are deterministic and
+/// pinned by `benchcmp`; the throughput fields are informational. `dir`
+/// is created here and removed on every path out, errors included.
+fn bench_ingest(wb: &Workbench, dir: &std::path::Path) -> Result<Vec<String>, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let rows = (0..wb.num_traces()).map(|trace| ingest_row(wb, trace, dir)).collect();
+    std::fs::remove_dir_all(dir).ok();
+    rows
+}
+
+/// One [`bench_ingest`] row: the trace's v2 file round trip through `dir`.
+fn ingest_row(wb: &Workbench, trace: usize, dir: &std::path::Path) -> Result<String, String> {
+    let name = &wb.trace_names()[trace];
+    let records = wb.records(trace, TraceFilter::Full);
+    let refs = records.len() as u64;
+    let path = dir.join(format!("{name}.dcct"));
+    let file = std::fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    encode_v2(&records, BufWriter::new(file))?;
+    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    let t0 = std::time::Instant::now();
+    let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut source = open_trace(BufReader::new(file)).map_err(|e| format!("ingest open: {e}"))?;
+    let cfg = RunConfig::default().with_process_sharing();
+    let res = run_chunked(ProtocolKind::Dir0B, wb.n_caches(), &mut source, &cfg)
+        .map_err(|e| format!("ingest replay: {e}"))?;
+    let ingest_wall = t0.elapsed();
+    if res.refs != refs {
+        return Err(format!("ingest: {name}: wrote {refs} refs, replayed {}", res.refs));
+    }
+    let mb_per_sec = bytes as f64 / 1e6 / ingest_wall.as_secs_f64().max(1e-9);
+    Ok(format!(
+        "    {{\"trace\": \"{name}\", \"refs\": {refs}, \"bytes\": {bytes}, \
+         \"wall_ms\": {:.3}, \"mb_per_sec\": {mb_per_sec:.1}}}",
+        ingest_wall.as_secs_f64() * 1e3
+    ))
 }
 
 /// `dircc serve`: binds the HTTP simulation daemon and blocks until a
@@ -1494,22 +1491,10 @@ fn check(args: &Args) -> Result<(), String> {
     if cfg.depth == 0 {
         return Err("--depth must be at least 1".to_string());
     }
-    let mut kinds = dircc_check::default_kinds().to_vec();
-    if let Some(want) = &args.scheme {
-        let want = want.to_ascii_lowercase();
-        kinds.retain(|k| dircc_core::build(*k, cfg.cpus).name().to_ascii_lowercase() == want);
-        if kinds.is_empty() {
-            let names: Vec<String> = dircc_check::default_kinds()
-                .iter()
-                .map(|k| dircc_core::build(*k, cfg.cpus).name().to_string())
-                .collect();
-            return Err(format!(
-                "unknown scheme {}; one of: {}",
-                args.scheme.as_ref().unwrap(),
-                names.join(" ")
-            ));
-        }
-    }
+    let kinds = match &args.scheme {
+        Some(want) => vec![scheme_by_name(want, cfg.cpus)?],
+        None => dircc_check::default_kinds().to_vec(),
+    };
     println!("model check: {} cpus x {} blocks, depth {}", cfg.cpus, cfg.blocks, cfg.depth);
     println!("{:<12} {:>10} {:>12}  result", "scheme", "states", "transitions");
     let reports = dircc_sim::par_map_indexed(kinds.len(), args.jobs, |i| {
@@ -1690,9 +1675,7 @@ fn profile_workload(
 ) -> Result<Vec<(ProtocolKind, TraceFilter)>, String> {
     match target {
         "all" | "bench" => Ok(wb.paper_workload()),
-        "scaling" | "scalability" => {
-            Ok(workload_for("scalability", wb).expect("scalability has a workload").runs)
-        }
+        "scaling" | "scalability" => Ok(studies::scalability_workload(wb).runs),
         "headline" => Ok(wb.paper_kinds().into_iter().map(|k| (k, TraceFilter::Full)).collect()),
         other => Err(format!(
             "unknown profile target {other}; one of: all bench scaling scalability headline"
@@ -1714,11 +1697,8 @@ fn profile(args: &Args) -> Result<(), String> {
             usage()
         )
     })?;
-    let wb = match (args.refs, args.smoke) {
-        (Some(n), _) => Workbench::paper_scaled(n, args.seed),
-        (None, true) => Workbench::paper_scaled(20_000, args.seed),
-        (None, false) => Workbench::paper(args.seed),
-    };
+    // `profile` rejects `--shards`, so this workbench replays serially.
+    let wb = workbench(args);
     let total_refs = wb.profiles()[0].total_refs;
     let window = args.window.unwrap_or_else(|| (total_refs / 64).max(1));
     let wb = wb.with_window(window);
@@ -1839,12 +1819,7 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         ));
     }
 
-    let wb = match (args.refs, args.smoke) {
-        (Some(n), _) => Workbench::paper_scaled(n, args.seed),
-        (None, true) => Workbench::paper_scaled(20_000, args.seed),
-        (None, false) => Workbench::paper(args.seed),
-    }
-    .with_shards(args.shards);
+    let wb = workbench(args);
     wb.warm(&wb.paper_workload(), args.jobs);
     let timings = wb.timings();
     let digests = run_digests(&wb);
@@ -1890,18 +1865,13 @@ fn benchcmp(args: &Args) -> Result<(), String> {
         }
     }
     // Ingest rows: re-derive each trace's deterministic v2 encoded size
-    // (same generator, same default chunking) and compare (trace, refs,
+    // (same records, same default chunking) and compare (trace, refs,
     // bytes). No replay needed — only the encoding is pinned here.
     let mut fresh_ingest = Vec::new();
-    for profile in wb.profiles().to_vec() {
-        let name = profile.name.to_string();
-        let mut w = ChunkedWriter::new(CountingWriter(0));
-        for r in Generator::new(profile, args.seed) {
-            w.write(&r).map_err(|e| format!("ingest encode: {e}"))?;
-        }
-        let refs = w.records_written();
-        let counter = w.finish().map_err(|e| format!("ingest encode: {e}"))?;
-        fresh_ingest.push(IngestRow { trace: name, refs, bytes: counter.0 });
+    for (trace, name) in wb.trace_names().into_iter().enumerate() {
+        let records = wb.records(trace, TraceFilter::Full);
+        let bytes = encode_v2(&records, CountingWriter(0))?.0;
+        fresh_ingest.push(IngestRow { trace: name, refs: records.len() as u64, bytes });
     }
     if base_ingest.len() != fresh_ingest.len() {
         drift.push(format!(
@@ -1953,24 +1923,7 @@ fn main() -> ExitCode {
         Kind::Replay => replay(&args),
         Kind::Stats => stats(&args),
         Kind::Sharing => sharing(&args),
-        Kind::Scaling => {
-            println!("{}", extensions::scaling(args.refs.unwrap_or(300_000), args.seed, args.jobs));
-            Ok(())
-        }
-        Kind::Network => {
-            println!(
-                "{}",
-                network::network_study(args.refs.unwrap_or(300_000), args.seed, args.jobs)
-            );
-            Ok(())
-        }
-        Kind::BlockSize => {
-            println!(
-                "{}",
-                extensions::block_size(args.refs.unwrap_or(400_000), args.seed, args.jobs)
-            );
-            Ok(())
-        }
+        Kind::Sweep => sweep(&args),
         Kind::Workbench => run_workbench_command(&args, false),
         Kind::All => run_workbench_command(&args, true),
         Kind::Bench => bench(&args),
@@ -1987,5 +1940,26 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_ingest_removes_its_directory_on_every_path() {
+        let wb = Workbench::paper_scaled(2_000, 1);
+        let dir = std::env::temp_dir().join(format!("dircc_ingest_test_{}", std::process::id()));
+        let rows = bench_ingest(&wb, &dir).expect("ingest round trip");
+        assert_eq!(rows.len(), wb.num_traces());
+        assert!(rows[0].contains("\"refs\": 2000"), "{}", rows[0]);
+        assert!(!dir.exists(), "a clean run leaves no ingest directory");
+        // A directory where the first trace file should go makes the
+        // encode step fail; the ingest directory must still go.
+        std::fs::create_dir_all(dir.join(format!("{}.dcct", wb.trace_names()[0]))).unwrap();
+        let err = bench_ingest(&wb, &dir).expect_err("a directory blocks the trace file");
+        assert!(err.contains(".dcct"), "{err}");
+        assert!(!dir.exists(), "a failed run leaves no ingest directory");
     }
 }

@@ -9,7 +9,7 @@
 //! shares, so a served `/run` response is byte-identical to a local
 //! replay of the same config — the CI serve gate diffs exactly that.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,12 +88,17 @@ pub fn run_response_json(
 /// paper suite plus a few scaled variants fit comfortably.
 const STORE_CACHE_ENTRIES: usize = 8;
 
+/// How many spans the handler keeps for `/spans`: the newest ones, so
+/// the log stays bounded however long the daemon runs. An executed run
+/// leaves about four spans (generate, filter, intern, replay).
+const SPAN_LOG_ENTRIES: usize = 4096;
+
 /// The [`JobHandler`](dircc_serve::JobHandler) the daemon runs:
-/// memoized single-profile trace stores plus a span log accumulated
-/// across requests for `/spans`.
+/// memoized single-profile trace stores plus the newest
+/// [`SPAN_LOG_ENTRIES`] spans of the runs it executed, for `/spans`.
 pub struct WorkbenchHandler {
     stores: Mutex<Lru<Arc<TraceStore>>>,
-    spans: Mutex<Vec<Span>>,
+    spans: Mutex<VecDeque<Span>>,
     /// Handler-side telemetry. Standalone counters under
     /// [`WorkbenchHandler::new`]; registered on the daemon's registry
     /// (and thus on `/metrics`) under
@@ -114,7 +119,7 @@ impl WorkbenchHandler {
     pub fn new() -> Self {
         WorkbenchHandler {
             stores: Mutex::new(Lru::new(STORE_CACHE_ENTRIES)),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(VecDeque::new()),
             runs_executed: Counter::new(),
             refs_replayed: Counter::new(),
             store_hits: Counter::new(),
@@ -127,7 +132,7 @@ impl WorkbenchHandler {
     pub fn with_registry(registry: &MetricsRegistry) -> Self {
         WorkbenchHandler {
             stores: Mutex::new(Lru::new(STORE_CACHE_ENTRIES)),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(VecDeque::new()),
             runs_executed: registry.counter(
                 "dircc_runs_executed_total",
                 "Workbench replays executed (result-cache hits never reach the workbench).",
@@ -214,7 +219,10 @@ impl WorkbenchHandler {
                 meta.request = Some(request_id.to_string());
             }
         }
-        self.spans.lock().expect("span log").extend(spans);
+        let mut log = self.spans.lock().expect("span log");
+        log.extend(spans);
+        let excess = log.len().saturating_sub(SPAN_LOG_ENTRIES);
+        log.drain(..excess);
         Ok(Executed { wb, kind, filter, counters, scheme_name, trace_name, n_caches })
     }
 }
@@ -268,7 +276,7 @@ impl dircc_serve::JobHandler for WorkbenchHandler {
     }
 
     fn spans(&self) -> String {
-        chrome_trace(&self.spans.lock().expect("span log"))
+        chrome_trace(self.spans.lock().expect("span log").make_contiguous())
     }
 }
 
@@ -552,6 +560,34 @@ mod tests {
         let err = scheme_by_name("nonesuch", 4).expect_err("unknown");
         assert!(err.contains("one of:"), "{err}");
         assert!(err.contains("Dir0B"), "{err}");
+    }
+
+    #[test]
+    fn span_log_keeps_only_the_newest_spans() {
+        use dircc_serve::JobHandler as _;
+        let handler = WorkbenchHandler::new();
+        let job = JobSpec {
+            scheme: "Dir0B".to_string(),
+            trace: "pops".to_string(),
+            refs: Some(50),
+            seed: 1,
+            filter: "full".to_string(),
+            shards: 1,
+            window: None,
+        };
+        let mut runs = 0;
+        while handler.spans.lock().unwrap().len() < SPAN_LOG_ENTRIES {
+            handler.run(&job, &format!("req-{runs}")).expect("tiny run");
+            runs += 1;
+        }
+        handler.run(&job, &format!("req-{runs}")).expect("tiny run");
+        let newest = format!("\"req-{runs}\"");
+        let held = handler.spans.lock().unwrap().len();
+        assert_eq!(held, SPAN_LOG_ENTRIES, "one run past the cap trims the oldest spans");
+        let text = handler.spans();
+        dircc_serve::json::parse(text.as_bytes()).expect("/spans stays valid JSON");
+        assert!(text.contains(&newest), "the newest request's spans are kept");
+        assert!(!text.contains("\"req-0\""), "the oldest request's spans are dropped");
     }
 
     #[test]

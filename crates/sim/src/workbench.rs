@@ -602,7 +602,6 @@ impl Workbench {
     /// pipeline (`dircc all`) measures, in paper order — the runs of
     /// [`crate::experiments::paper_all_workload`].
     pub fn paper_workload(&self) -> Vec<(ProtocolKind, TraceFilter)> {
-        let n = self.n_caches() as u32;
         let mut work: Vec<(ProtocolKind, TraceFilter)> = Vec::new();
         // Tables 4-5, Figures 1-5, §5 system study: the four headline
         // schemes on the full traces.
@@ -615,13 +614,7 @@ impl Workbench {
         // §5 Berkeley aside.
         work.push((ProtocolKind::Berkeley, TraceFilter::Full));
         // §6 scalability: the DiriNB / DiriB sweeps and the coded set.
-        for i in 1..=n {
-            work.push((ProtocolKind::DirNb { pointers: i }, TraceFilter::Full));
-        }
-        for i in 1..n {
-            work.push((ProtocolKind::DirB { pointers: i }, TraceFilter::Full));
-        }
-        work.push((ProtocolKind::CodedSet, TraceFilter::Full));
+        work.extend(crate::experiments::studies::scalability_workload(self).runs);
         let mut seen = std::collections::HashSet::new();
         work.retain(|w| seen.insert(*w));
         work

@@ -177,6 +177,32 @@ fn shards_flag_validation() {
     assert!(err.contains("one shard"), "explains the windowed pin: {err}");
 }
 
+/// The beyond-paper sweeps print exactly the checked-in bytes in
+/// `tests/golden/` at one worker and at two, and still reject `--shards`.
+#[test]
+fn sweeps_print_their_golden_bytes() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for sweep in ["scaling", "network", "blocksize"] {
+        let want = std::fs::read(golden.join(format!("{sweep}.txt"))).expect("golden file");
+        for jobs in ["1", "2"] {
+            let out = dircc()
+                .args([sweep, "--refs", "20000", "--seed", "1988", "--jobs", jobs])
+                .output()
+                .expect("run dircc");
+            assert!(out.status.success(), "{sweep}: {}", String::from_utf8_lossy(&out.stderr));
+            assert!(out.stdout == want, "{sweep} --jobs {jobs} drifted from tests/golden");
+        }
+        let out = dircc().args([sweep, "--shards", "2"]).output().expect("run dircc");
+        assert!(!out.status.success(), "{sweep} must reject --shards");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want_err = format!(
+            "--shards only applies to workbench experiments, all, bench, benchcmp, check and \
+             replay, not {sweep}"
+        );
+        assert!(err.contains(&want_err), "{err}");
+    }
+}
+
 /// A pre-shards baseline fails `benchcmp` with a readable schema error,
 /// not a drift list.
 #[test]

@@ -405,6 +405,15 @@ mod tests {
     fn inconsistent_router_is_rejected() {
         let records = stream();
         let dir = tmpdir("impure");
+        // The panic skips any cleanup after the call; a drop guard still
+        // runs while the test unwinds.
+        struct RemoveOnDrop(PathBuf);
+        impl Drop for RemoveOnDrop {
+            fn drop(&mut self) {
+                std::fs::remove_dir_all(&self.0).ok();
+            }
+        }
+        let _cleanup = RemoveOnDrop(dir.clone());
         let mut source = SliceChunks::new(&records[..], 1024);
         let mut flip = 0usize;
         let _ = spill_shards(&mut source, BlockGeometry::PAPER, 2, &dir, |_, _| {

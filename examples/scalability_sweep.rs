@@ -12,40 +12,13 @@
 //! machines of 4 to 32 CPUs and reports cycles/ref plus the quantity that
 //! actually gates scaling: invalidation *messages* per reference.
 
-use dircc::bus::{CostConfig, CostModel};
-use dircc::core::{build, ProtocolKind};
-use dircc::sim::engine::{run, RunConfig};
-use dircc::sim::metrics::Evaluation;
-use dircc::sim::{default_jobs, par_map_indexed};
-use dircc::trace::gen::Profile;
-use dircc::trace::{TraceFilter, TraceStore};
+use dircc::core::ProtocolKind;
+use dircc::sim::default_jobs;
+use dircc::sim::experiments::extensions::{size_sweep, ScalingRow};
 
 const REFS: u64 = 300_000;
 
-struct Row {
-    cycles: f64,
-    messages_per_kref: f64,
-    broadcasts_per_kref: f64,
-}
-
-fn measure(store: &TraceStore, kind: ProtocolKind, cpus: u16) -> Result<Row, String> {
-    let mut protocol = build(kind, usize::from(cpus));
-    let cfg = RunConfig::default().with_process_sharing();
-    let records = store.records(0, TraceFilter::Full);
-    let result = run(protocol.as_mut(), records.iter().copied(), &cfg)?;
-    let c = result.counters;
-    let per_kref = |n: u64| 1000.0 * n as f64 / c.total() as f64;
-    let messages_per_kref = per_kref(c.control_messages());
-    let broadcasts_per_kref = per_kref(c.broadcasts());
-    let eval = Evaluation::new(protocol.name(), kind, usize::from(cpus), c);
-    Ok(Row {
-        cycles: eval.cycles_per_ref(&CostModel::pipelined(), &CostConfig::PAPER),
-        messages_per_kref,
-        broadcasts_per_kref,
-    })
-}
-
-fn main() -> Result<(), String> {
+fn main() {
     let kinds_at = |cpus: u16| {
         [
             ProtocolKind::Dir0B,
@@ -58,27 +31,20 @@ fn main() -> Result<(), String> {
             ProtocolKind::CodedSet,
         ]
     };
-    for cpus in [4u16, 8, 16, 32] {
+    // One warmed workbench per machine size; the rows below read its memo.
+    let cpu_counts = [4u16, 8, 16, 32];
+    let benches = size_sweep(&cpu_counts, REFS, 3, default_jobs(), kinds_at);
+    for (&cpus, wb) in cpu_counts.iter().zip(&benches) {
         println!("=== {cpus} CPUs ===");
         println!(
             "{:<12} {:>10} {:>12} {:>12}",
             "scheme", "cycles/ref", "invals/kref", "bcasts/kref"
         );
-        // One generate-once store per machine size; the scheme runs fan
-        // out over worker threads and print in a fixed order.
-        let store =
-            TraceStore::new(vec![Profile::custom().with_cpus(cpus).with_total_refs(REFS)], 3);
-        let kinds = kinds_at(cpus);
-        let rows =
-            par_map_indexed(kinds.len(), default_jobs(), |i| measure(&store, kinds[i], cpus));
-        for (kind, row) in kinds.into_iter().zip(rows) {
-            let row = row?;
+        for kind in kinds_at(cpus) {
+            let row = ScalingRow::measure(wb, kind);
             println!(
                 "{:<12} {:>10.4} {:>12.2} {:>12.2}",
-                kind.display_name(usize::from(cpus)),
-                row.cycles,
-                row.messages_per_kref,
-                row.broadcasts_per_kref
+                row.scheme, row.cycles_per_ref, row.messages_per_kref, row.broadcasts_per_kref
             );
         }
         println!();
@@ -87,5 +53,4 @@ fn main() -> Result<(), String> {
     println!("broadcast touches all n caches; limited-pointer directories");
     println!("keep the message count (the real scaling cost) nearly flat,");
     println!("which is the paper's argument for Dir_i_NB at scale.");
-    Ok(())
 }
